@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.problem import PartitionProblem
 from repro.engine.cache import fingerprint
 from repro.experiments.config import ExperimentConfig
@@ -37,6 +39,9 @@ SCALAR_KINDS = ("cc", "spmm", "hh")
 
 #: Kinds whose answer is a cut vector over ``n_devices`` devices.
 CLUSTER_KINDS = ("cluster-cc", "cluster-spmm")
+
+#: :class:`TuneRequest` fields that must hold a true integer.
+_INT_FIELDS = ("seed", "repeats", "sample_size", "n_devices", "rounds")
 
 #: Default request scale: the benchmark scale (1/64 of Table II), small
 #: enough that a cold tune answers in well under a second.
@@ -109,6 +114,18 @@ class TuneRequest:
     def __post_init__(self) -> None:
         from repro.platform.cluster import TOPOLOGIES
 
+        # Every field below is a cache-key field: a bool or a float where
+        # an int belongs would fingerprint differently from the int it
+        # equals and fork the cache, so only true integers pass.
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if name == "sample_size" and value is None:
+                continue
+            if isinstance(value, (bool, np.bool_)) or not isinstance(
+                value, (int, np.integer)
+            ):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.problem not in PROBLEM_KINDS:
             raise ValidationError(
                 f"unknown problem kind {self.problem!r}; expected one of "

@@ -24,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
 from repro.engine import FaultPlan, FaultSpec
@@ -83,6 +84,32 @@ class TestApiTypes:
             TuneRequest(problem="cc", dataset="cant", repeats=0)
         with pytest.raises(ValidationError):
             TuneRequest(problem="cc", dataset="cant", sample_size=0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("seed", True),
+            ("seed", 1.0),
+            ("rounds", True),
+            ("repeats", 2.7),
+            ("n_devices", 2.0),
+            ("sample_size", True),
+            ("sample_size", 8.0),
+            ("seed", "1"),
+            ("n_devices", np.bool_(True)),
+        ],
+    )
+    def test_request_refuses_non_integers(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TuneRequest(problem="cc", dataset="cant", **{field: value})
+
+    def test_numpy_integers_fingerprint_like_ints(self):
+        plain = TuneRequest(problem="cc", dataset="cant", seed=1, repeats=2)
+        numpy = TuneRequest(
+            problem="cc", dataset="cant", seed=np.int64(1), repeats=np.int32(2)
+        )
+        assert type(numpy.seed) is int and type(numpy.repeats) is int
+        assert numpy.fingerprint() == plain.fingerprint()
 
     def test_request_round_trip_and_fingerprint(self):
         request = TuneRequest(problem="hh", dataset="webbase-1M", seed=5)
