@@ -30,6 +30,10 @@ _FIELDS = ("real", "integer", "pattern")
 _SYMMETRIES = ("general", "symmetric", "skew-symmetric")
 
 
+class MatrixMarketError(ValidationError):
+    """A MatrixMarket file is malformed; the message names the line."""
+
+
 def _open_lines(source: str | Path | IO[str]) -> Iterator[str]:
     if hasattr(source, "read"):
         yield from source  # type: ignore[misc]
@@ -38,67 +42,86 @@ def _open_lines(source: str | Path | IO[str]) -> Iterator[str]:
             yield from fh
 
 
+def _data_lines(lines: Iterator[tuple[int, str]]) -> Iterator[tuple[int, str]]:
+    """Numbered lines with blanks and ``%`` comments skipped, stripped."""
+    for lineno, line in lines:
+        stripped = line.strip()
+        if stripped and not stripped.startswith("%"):
+            yield lineno, stripped
+
+
 def read_matrix_market(source: str | Path | IO[str]) -> CsrMatrix:
-    """Parse a MatrixMarket coordinate file into a :class:`CsrMatrix`."""
-    lines = _open_lines(source)
+    """Parse a MatrixMarket coordinate file into a :class:`CsrMatrix`.
+
+    Malformed input raises :class:`MatrixMarketError` naming the line.
+    """
+    lines = enumerate(_open_lines(source), start=1)
     try:
-        header = next(lines)
+        _, header = next(lines)
     except StopIteration:
-        raise ValidationError("empty MatrixMarket file") from None
+        raise MatrixMarketError("empty MatrixMarket file") from None
     parts = header.strip().lower().split()
     if len(parts) != 5 or parts[0] not in ("%%matrixmarket",):
-        raise ValidationError(f"not a MatrixMarket header: {header.strip()!r}")
+        raise MatrixMarketError(
+            f"line 1: not a MatrixMarket header: {header.strip()!r}"
+        )
     _, obj, fmt, field, symmetry = parts
     if obj != "matrix" or fmt != "coordinate":
-        raise ValidationError(
+        raise MatrixMarketError(
             f"only 'matrix coordinate' files are supported, got {obj} {fmt}"
         )
     if field not in _FIELDS:
-        raise ValidationError(f"unsupported field {field!r} (supported: {_FIELDS})")
+        raise MatrixMarketError(f"unsupported field {field!r} (supported: {_FIELDS})")
     if symmetry not in _SYMMETRIES:
-        raise ValidationError(
+        raise MatrixMarketError(
             f"unsupported symmetry {symmetry!r} (supported: {_SYMMETRIES})"
         )
 
-    size_line = None
-    for line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        size_line = stripped
-        break
-    if size_line is None:
-        raise ValidationError("missing size line")
+    data = _data_lines(lines)
+    try:
+        lineno, size_line = next(data)
+    except StopIteration:
+        raise MatrixMarketError("missing size line") from None
     try:
         n_rows, n_cols, nnz = (int(tok) for tok in size_line.split())
     except ValueError:
-        raise ValidationError(f"bad size line: {size_line!r}") from None
+        raise MatrixMarketError(
+            f"line {lineno}: bad size line: {size_line!r}"
+        ) from None
+    if min(n_rows, n_cols, nnz) < 0:
+        raise MatrixMarketError(f"line {lineno}: negative size: {size_line!r}")
 
-    rows = np.empty(nnz, dtype=_INDEX)
-    cols = np.empty(nnz, dtype=_INDEX)
-    vals = np.empty(nnz, dtype=np.float64)
-    count = 0
-    for line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        if count >= nnz:
-            raise ValidationError("more entries than the size line declares")
+    row_list: list[int] = []
+    col_list: list[int] = []
+    val_list: list[float] = []
+    for lineno, stripped in data:
+        if len(row_list) >= nnz:
+            raise MatrixMarketError(
+                f"line {lineno}: more entries than the size line declares"
+            )
         toks = stripped.split()
-        if field == "pattern":
-            if len(toks) < 2:
-                raise ValidationError(f"bad pattern entry: {stripped!r}")
-            value = 1.0
-        else:
-            if len(toks) < 3:
-                raise ValidationError(f"bad entry: {stripped!r}")
-            value = float(toks[2])
-        rows[count] = int(toks[0]) - 1  # MatrixMarket is 1-based
-        cols[count] = int(toks[1]) - 1
-        vals[count] = value
-        count += 1
-    if count != nnz:
-        raise ValidationError(f"size line declares {nnz} entries, file has {count}")
+        try:
+            row, col = int(toks[0]), int(toks[1])
+            value = 1.0 if field == "pattern" else float(toks[2])
+        except (IndexError, ValueError):
+            raise MatrixMarketError(
+                f"line {lineno}: bad {field} entry: {stripped!r}"
+            ) from None
+        if not (1 <= row <= n_rows and 1 <= col <= n_cols):
+            raise MatrixMarketError(
+                f"line {lineno}: entry ({row}, {col}) is outside the declared "
+                f"{n_rows} x {n_cols} shape"
+            )
+        row_list.append(row - 1)  # MatrixMarket is 1-based
+        col_list.append(col - 1)
+        val_list.append(value)
+    if len(row_list) != nnz:
+        raise MatrixMarketError(
+            f"size line declares {nnz} entries, file has {len(row_list)}"
+        )
+    rows = np.asarray(row_list, dtype=_INDEX)
+    cols = np.asarray(col_list, dtype=_INDEX)
+    vals = np.asarray(val_list, dtype=np.float64)
 
     if symmetry in ("symmetric", "skew-symmetric"):
         off = rows != cols

@@ -4,9 +4,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.sparse.io import read_matrix_market, write_matrix_market
-from repro.util.errors import ValidationError
+from repro.sparse.io import MatrixMarketError, read_matrix_market, write_matrix_market
+from repro.util.errors import ReproError, ValidationError
 from repro.workloads.dataset import dataset_from_matrix_market
 from tests.conftest import random_sparse
 
@@ -81,6 +82,34 @@ class TestRead:
         with pytest.raises(ValidationError) as exc:
             read_matrix_market(io.StringIO(text))
         assert fragment.split()[0] in str(exc.value).lower()
+
+    @pytest.mark.parametrize("entry", ["2 2 2-.0", "2 x 1.0", "1.5 1 1.0", "3 1 1.0", "1 0 1.0"])
+    def test_bad_entry_names_its_line(self, entry):
+        text = (
+            "%%MatrixMarket matrix coordinate real general\n"
+            "% a comment line\n2 2 2\n1 1 1.0\n" + entry + "\n"
+        )
+        with pytest.raises(MatrixMarketError, match="line 5") as exc:
+            read_matrix_market(io.StringIO(text))
+        assert isinstance(exc.value, ReproError)
+        assert entry in str(exc.value) or "outside" in str(exc.value)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, len(GENERAL) - 1), st.sampled_from("0129 .-+e%x\n")),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_mutated_file_raises_only_repro_errors(self, edits):
+        chars = list(GENERAL)
+        for position, char in edits:
+            chars[position] = char
+        try:
+            read_matrix_market(io.StringIO("".join(chars)))
+        except ReproError:
+            pass
 
 
 class TestWriteRoundTrip:
