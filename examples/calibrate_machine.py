@@ -12,10 +12,16 @@ Run: ``python examples/calibrate_machine.py``
 
 import numpy as np
 
-from repro import SpmmProblem, exhaustive_oracle, load_dataset, paper_testbed
+from repro import (
+    ClusterSpec,
+    Interconnect,
+    SpmmProblem,
+    exhaustive_oracle,
+    load_dataset,
+    paper_testbed,
+)
 from repro.platform import calibrate_profile, validate_profile
 from repro.platform.device import DeviceSpec
-from repro.platform.machine import HeterogeneousMachine
 from repro.platform.pcie import PcieLink
 
 SCALE = 1 / 32
@@ -65,7 +71,9 @@ def main() -> None:
     paper_machine = paper_testbed(time_scale=SCALE)
     paper_oracle = exhaustive_oracle(SpmmProblem(dataset.matrix, paper_machine))
 
-    modern = HeterogeneousMachine(cpu=cpu, gpu=gpu, link=link)
+    modern = ClusterSpec(
+        devices=(cpu, gpu), interconnect=Interconnect(links=(link,)), name="modern"
+    )
     modern_oracle = exhaustive_oracle(
         SpmmProblem(dataset.matrix, modern, profile=profile)
     )

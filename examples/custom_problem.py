@@ -18,11 +18,13 @@ import math
 import numpy as np
 
 from repro import (
+    ClusterSpec,
     CoarseToFineSearch,
     SamplingPartitioner,
     exhaustive_oracle,
     paper_testbed,
 )
+from repro.platform import require_two_devices
 from repro.platform.costmodel import KernelProfile, effective_rate_per_ms
 from repro.util.rng import RngLike, as_generator
 
@@ -36,12 +38,16 @@ class StencilSweepProblem:
 
     Each grid row carries a work weight (e.g. adaptive-mesh refinement
     level); the CPU takes a prefix of rows, the GPU the suffix, and the two
-    exchange one halo row per iteration over the PCIe link.
+    exchange one halo row per iteration over the PCIe link.  The platform
+    is a 2-device :class:`~repro.platform.ClusterSpec`: device 0 is the
+    CPU, device 1 the GPU, and ``link_for(1)`` the link between them.
     """
 
-    def __init__(self, row_work: np.ndarray, machine, name: str = "stencil") -> None:
+    def __init__(
+        self, row_work: np.ndarray, machine: ClusterSpec, name: str = "stencil"
+    ) -> None:
         self.row_work = np.asarray(row_work, dtype=np.float64)
-        self.machine = machine
+        self.machine = require_two_devices(machine)
         self.name = name
         self._prefix = np.concatenate(([0.0], np.cumsum(self.row_work)))
 
@@ -52,9 +58,9 @@ class StencilSweepProblem:
         k = int(round(n * threshold / 100.0))  # CPU rows
         cpu = self._prefix[k] / effective_rate_per_ms(self.machine.cpu, STENCIL)
         gpu = (self._prefix[n] - self._prefix[k]) / effective_rate_per_ms(
-            self.machine.gpu, STENCIL
+            self.machine.devices[1], STENCIL
         )
-        halo = self.machine.transfer_ms(8.0 * 4096) if 0 < k < n else 0.0
+        halo = self.machine.link_for(1).transfer_ms(8.0 * 4096) if 0 < k < n else 0.0
         return max(cpu, gpu) + halo
 
     def threshold_grid(self) -> np.ndarray:
@@ -79,7 +85,7 @@ class StencilSweepProblem:
         return max(2, math.isqrt(self.row_work.size))
 
     def naive_static_threshold(self) -> float:
-        return 100.0 * (1.0 - self.machine.gpu_peak_share)
+        return 100.0 * (1.0 - self.machine.peak_shares()[1])
 
     def gpu_only_threshold(self) -> float:
         return 0.0

@@ -57,8 +57,9 @@ Subpackages
     docs/SERVING.md.
 
 The names re-exported here (see ``__all__``) are the library's stable
-public API; anything else may move between releases (old locations keep
-working for a deprecation cycle, as ``repro.platform.trace`` does now).
+public API; anything else may move between releases (old spellings keep
+working for one deprecation cycle, as the ``HeterogeneousMachine`` factory
+does now).
 """
 
 from repro.core import (

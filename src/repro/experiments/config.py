@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from repro.platform.machine import HeterogeneousMachine, paper_testbed
+from repro.platform.cluster import ClusterSpec
+from repro.platform.machine import paper_testbed
 from repro.util.errors import ValidationError
 from repro.workloads.dataset import Dataset
 from repro.workloads.suite import DEFAULT_SCALE, load_dataset
@@ -107,8 +108,8 @@ class ExperimentConfig:
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
 
-    def machine(self) -> HeterogeneousMachine:
-        """The simulated testbed at this config's time scale."""
+    def machine(self) -> ClusterSpec:
+        """The simulated 2-device testbed at this config's time scale."""
         return paper_testbed(time_scale=self.scale)
 
     def dataset(self, name: str) -> Dataset:

@@ -57,8 +57,7 @@ from repro.platform.costmodel import (
     PricingTables,
     effective_rate_per_ms,
 )
-from repro.platform.cluster import ClusterSpec, coerce_machine
-from repro.platform.machine import HeterogeneousMachine
+from repro.platform.cluster import ClusterSpec, require_two_devices
 from repro.platform.timeline import Timeline
 from repro.util.errors import ValidationError
 from repro.util.rng import RngLike, as_generator
@@ -141,7 +140,7 @@ class CcProblem:
     def __init__(
         self,
         graph: Graph,
-        machine: "HeterogeneousMachine | ClusterSpec",
+        machine: ClusterSpec,
         name: str = "cc",
         vertex_weights: np.ndarray | None = None,
         work_scale: float = 1.0,
@@ -156,8 +155,7 @@ class CcProblem:
                 f"unknown sampling_method {sampling_method!r}"
             )
         self.graph = graph
-        # A 2-device ClusterSpec works anywhere the legacy machine does.
-        self.machine = coerce_machine(machine)
+        self.machine = require_two_devices(machine)
         self.name = name
         self.work_scale = float(work_scale)
         self.sampling_method = sampling_method
@@ -242,7 +240,7 @@ class CcProblem:
         k = n - n_gpu
 
         cpu = self.machine.cpu
-        gpu = self.machine.gpu
+        gpu = self.machine.devices[1]
         rate_cpu = effective_rate_per_ms(cpu, self.profile)
         rate_gpu = effective_rate_per_ms(gpu, self.profile)
         threads = cpu.threads
@@ -280,7 +278,7 @@ class CcProblem:
 
         # Merge across the cut (runs only when both sides are populated).
         merge_mask = (k > 0) & (n_gpu > 0)
-        transfer = self.machine.transfer_ms_many(k * _BYTES_PER_VERTEX)
+        transfer = self.machine.link_for(1).transfer_ms_many(k * _BYTES_PER_VERTEX)
         m_cross = self._cut.m_cross_many(k)
         # modeled_merge_iterations uses math.log2; evaluate it once per
         # distinct cross-edge count so batch and scalar agree bit-exactly.
@@ -368,7 +366,7 @@ class CcProblem:
 
     def naive_static_threshold(self) -> float:
         """GPU share from the peak-FLOPS ratio (88 on the paper testbed)."""
-        return 100.0 * self.machine.gpu_peak_share
+        return 100.0 * self.machine.peak_shares()[1]
 
     def gpu_only_threshold(self) -> float:
         return 100.0
@@ -383,10 +381,11 @@ class CcProblem:
         """
         sv_launches = modeled_sv_iterations(max(sample_size, 2))
         merge_launches = 3
+        gpu = self.machine.devices[1]
         return (
             self.machine.cpu.kernel_launch_us * 1e-3
-            + (sv_launches + merge_launches) * self.machine.gpu.kernel_launch_us * 1e-3
-            + self.machine.link.latency_us * 1e-3
+            + (sv_launches + merge_launches) * gpu.kernel_launch_us * 1e-3
+            + self.machine.link_for(1).latency_us * 1e-3
         )
 
     def probe_cost_ms(self) -> float:
@@ -402,7 +401,7 @@ class CcProblem:
             raise ValidationError("probe_cost_ms is defined for sampled instances")
         work = float(self.graph.n + 2 * self.graph.m)
         cpu_rate = effective_rate_per_ms(self.machine.cpu, self.profile)
-        gpu_rate = effective_rate_per_ms(self.machine.gpu, self.profile)
+        gpu_rate = effective_rate_per_ms(self.machine.devices[1], self.profile)
         combined = cpu_rate + gpu_rate / SV_EFFECTIVE_PASSES
         return work / combined
 
@@ -478,11 +477,10 @@ class CcProblem:
 
     def _gpu_ms(self, k: int) -> float:
         n_gpu = self.graph.n - k
-        rate = effective_rate_per_ms(self.machine.gpu, self.profile)
+        gpu = self.machine.devices[1]
+        rate = effective_rate_per_ms(gpu, self.profile)
         sweep = SV_EFFECTIVE_PASSES * self._gpu_work(k) / rate
-        launches = (
-            modeled_sv_iterations(n_gpu) * self.machine.gpu.kernel_launch_us * 1e-3
-        )
+        launches = modeled_sv_iterations(n_gpu) * gpu.kernel_launch_us * 1e-3
         return sweep + launches
 
     def _phase2(self, threshold: float) -> Timeline:
@@ -505,14 +503,14 @@ class CcProblem:
             tl.run(
                 "pcie",
                 "phase2/h2d-cpu-labels",
-                self.machine.transfer_ms(k * _BYTES_PER_VERTEX),
+                self.machine.link_for(1).transfer_ms(k * _BYTES_PER_VERTEX),
             )
             m_cross = self._cut.m_cross(k)
             merge_iters = modeled_merge_iterations(m_cross)
-            merge_rate = effective_rate_per_ms(self.machine.gpu, PROFILE_MERGE)
+            merge_rate = effective_rate_per_ms(self.machine.devices[1], PROFILE_MERGE)
             merge_ms = (
                 MERGE_EFFECTIVE_PASSES * (2.0 * m_cross + 1.0) / merge_rate
-                + merge_iters * self.machine.gpu.kernel_launch_us * 1e-3
+                + merge_iters * self.machine.devices[1].kernel_launch_us * 1e-3
             )
             tl.run("gpu", "phase2/merge-cross-edges", merge_ms)
         return tl

@@ -19,11 +19,11 @@ import numpy as np
 
 from repro.platform.costmodel import (
     PROFILE_DENSE_MM,
+    cpu_sequential_time,
     dense_mm_time,
     effective_rate_per_ms,
 )
-from repro.platform.cluster import ClusterSpec, coerce_machine
-from repro.platform.machine import HeterogeneousMachine
+from repro.platform.cluster import ClusterSpec, require_two_devices
 from repro.platform.timeline import Timeline
 from repro.util.errors import ValidationError
 from repro.util.rng import RngLike, as_generator
@@ -57,7 +57,7 @@ class DenseMmProblem:
     def __init__(
         self,
         n: int,
-        machine: "HeterogeneousMachine | ClusterSpec",
+        machine: ClusterSpec,
         name: str | None = None,
         rows: int | None = None,
     ) -> None:
@@ -69,8 +69,7 @@ class DenseMmProblem:
         # Row blocks (dynamic-rebalance rounds) multiply ``rows x n`` of A
         # against the full B; the default square instance has rows == n.
         self.rows = n if rows is None else rows
-        # A 2-device ClusterSpec works anywhere the legacy machine does.
-        self.machine = coerce_machine(machine)
+        self.machine = require_two_devices(machine)
         self.name = name or f"mat.{n}"
 
     # -- PartitionProblem protocol --------------------------------------------------
@@ -92,7 +91,7 @@ class DenseMmProblem:
         split = np.round(rows * ts / 100.0).astype(np.int64)
         flops_per_row = 2.0 * n * n
         cpu = self.machine.cpu
-        gpu = self.machine.gpu
+        gpu = self.machine.devices[1]
         cpu_ms = (
             split * flops_per_row / effective_rate_per_ms(cpu, PROFILE_DENSE_MM)
             + cpu.kernel_launch_us * 1e-3
@@ -105,7 +104,9 @@ class DenseMmProblem:
         longest = np.maximum(
             np.where(split > 0, cpu_ms, 0.0), np.where(split < rows, gpu_ms, 0.0)
         )
-        d2h = self.machine.transfer_ms_many((rows - split) * n * _BYTES_PER_ELEMENT)
+        d2h = self.machine.link_for(1).transfer_ms_many(
+            (rows - split) * n * _BYTES_PER_ELEMENT
+        )
         return longest + np.where(split < rows, d2h, 0.0)
 
     def timeline(self, threshold: float) -> Timeline:
@@ -127,14 +128,14 @@ class DenseMmProblem:
         """Gathering an s x s dense block touches s*s elements."""
         size = min(size, self.n)
         work = float(size) * float(size)
-        return self.machine.cpu_sequential_ms(work, PROFILE_DENSE_MM)
+        return cpu_sequential_time(work, self.machine.cpu, PROFILE_DENSE_MM)
 
     def default_sample_size(self) -> int:
         return max(2, self.n // 4)
 
     def naive_static_threshold(self) -> float:
         """The FLOPS-ratio split — the star of Figure 1."""
-        return 100.0 * (1.0 - self.machine.gpu_peak_share)
+        return 100.0 * (1.0 - self.machine.peak_shares()[1])
 
     def gpu_only_threshold(self) -> float:
         return 0.0
@@ -162,14 +163,16 @@ class DenseMmProblem:
             else 0.0
         )
         gpu_ms = (
-            dense_mm_time((rows - split) * flops_per_row, self.machine.gpu, PROFILE_DENSE_MM)
+            dense_mm_time(
+                (rows - split) * flops_per_row, self.machine.devices[1], PROFILE_DENSE_MM
+            )
             if split < rows
             else 0.0
         )
         tl.overlap([("cpu", "gemm-cpu", cpu_ms), ("gpu", "gemm-gpu", gpu_ms)])
         if split < rows:
             d2h = (rows - split) * n * _BYTES_PER_ELEMENT  # C2 back
-            tl.run("pcie", "d2h-result", self.machine.transfer_ms(d2h))
+            tl.run("pcie", "d2h-result", self.machine.link_for(1).transfer_ms(d2h))
         return tl
 
     # -- rounds (repro.hetero.dynamic_rebalance) ---------------------------------------------

@@ -75,13 +75,13 @@ def simulate_dynamic_spmm(
     flop_prefix = problem._flop_prefix
     padded_prefix = problem._padded_prefix
     cpu_rate = effective_rate_per_ms(problem.machine.cpu, PROFILE_SPGEMM)
-    gpu_rate = effective_rate_per_ms(problem.machine.gpu, PROFILE_SPGEMM)
+    gpu_rate = effective_rate_per_ms(problem.machine.devices[1], PROFILE_SPGEMM)
     cpu_launch = problem.machine.cpu.kernel_launch_us * 1e-3
-    gpu_launch = problem.machine.gpu.kernel_launch_us * 1e-3
+    gpu_launch = problem.machine.devices[1].kernel_launch_us * 1e-3
 
     # Per-chunk dispatch: one queue operation plus a host<->device round
     # trip.  Chunks are issued serially by the host.
-    dispatch_cost = cpu_launch + 2.0 * problem.machine.link.latency_us * 1e-3
+    dispatch_cost = cpu_launch + 2.0 * problem.machine.link_for(1).latency_us * 1e-3
 
     bounds = list(range(0, n, chunk_rows)) + [n]
     tl = Timeline()
@@ -103,7 +103,7 @@ def simulate_dynamic_spmm(
         cpu_cost = flops / cpu_rate + cpu_launch
         padded = float(padded_prefix[hi] - padded_prefix[lo])
         mults = flops / 2.0
-        d2h = problem.machine.transfer_ms(
+        d2h = problem.machine.link_for(1).transfer_ms(
             mults * problem._compression * _BYTES_PER_NNZ
         )
         gpu_cost = padded / gpu_rate + gpu_launch + d2h

@@ -40,9 +40,9 @@ from repro.platform.costmodel import (
     PROFILE_SPGEMM,
     KernelProfile,
     effective_rate_per_ms,
+    gpu_iterative_time,
 )
-from repro.platform.cluster import ClusterSpec, coerce_machine
-from repro.platform.machine import HeterogeneousMachine
+from repro.platform.cluster import ClusterSpec, require_two_devices
 from repro.platform.timeline import Timeline
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import add, mask_rows
@@ -111,7 +111,7 @@ class HhCpuProblem:
     def __init__(
         self,
         a: CsrMatrix,
-        machine: "HeterogeneousMachine | ClusterSpec",
+        machine: ClusterSpec,
         name: str = "hh-cpu",
         work_scale: float = 1.0,
         b_density: np.ndarray | None = None,
@@ -129,8 +129,7 @@ class HhCpuProblem:
         if sampling_method not in ("rows", "importance", "fold", "thin"):
             raise ValidationError(f"unknown sampling_method {sampling_method!r}")
         self.a = a
-        # A 2-device ClusterSpec works anywhere the legacy machine does.
-        self.machine = coerce_machine(machine)
+        self.machine = require_two_devices(machine)
         self.name = name
         self.sampling_method = sampling_method
         # The SpGEMM kernel profile; injectable for calibrated machines.
@@ -260,7 +259,7 @@ class HhCpuProblem:
         n = self.a.n_rows
         g = tc.size
         cpu = self.machine.cpu
-        gpu = self.machine.gpu
+        gpu = self.machine.devices[1]
         # Bucket b of a nonzero = number of cutoffs strictly below its
         # contribution, so it counts as "high" work exactly for cutoff
         # columns j < b; w_high(r, j) is the suffix bucket sum over b > j.
@@ -338,7 +337,7 @@ class HhCpuProblem:
             gpu_warp(p_pad_high_rep[b, cols], pmax_high),
         )
         gpu_mults = (p_low_rep[b, cols] + p_high_rep[b, cols]) / 2.0
-        d2h = self.machine.transfer_ms_many(
+        d2h = self.machine.link_for(1).transfer_ms_many(
             gpu_mults * self._compression * _BYTES_PER_NNZ
         )
         cpu_mults = (total2c + total3c) / 2.0
@@ -471,7 +470,7 @@ class HhCpuProblem:
         the smallest cutoff whose high-row work share does not exceed the
         CPU's peak fraction (~12%).
         """
-        target = 1.0 - self.machine.gpu_peak_share
+        target = 1.0 - self.machine.peak_shares()[1]
         order = np.argsort(self._d_rows)[::-1]  # heaviest rows first
         work_sorted = self._row_mults[order]
         total = self._total_mults
@@ -583,7 +582,7 @@ class HhCpuProblem:
         """GPU row-per-warp time: represented throughput, true straggler."""
         if work.size == 0 or float(work.sum()) == 0.0:
             return 0.0
-        gpu = self.machine.gpu
+        gpu = self.machine.devices[1]
         quantum = gpu.warp_size * gpu.flops_per_cycle
         padded = np.ceil(work / quantum) * quantum
         rate = effective_rate_per_ms(gpu, self.profile)
@@ -631,7 +630,9 @@ class HhCpuProblem:
         tl.run(
             "pcie",
             "phase4/d2h-partials",
-            self.machine.transfer_ms(gpu_mults * self._compression * _BYTES_PER_NNZ),
+            self.machine.link_for(1).transfer_ms(
+                gpu_mults * self._compression * _BYTES_PER_NNZ
+            ),
         )
         cpu_mults = (
             float((s["cpu2"] * s["rep_high"]).sum() + (s["cpu3"] * s["rep_high"]).sum())
@@ -642,8 +643,8 @@ class HhCpuProblem:
             * cpu_mults
             / effective_rate_per_ms(self.machine.cpu, PROFILE_COMBINE)
         )
-        combine_gpu = self.machine.gpu_iterative_ms(
-            COMBINE_FACTOR * gpu_mults, 1, PROFILE_COMBINE
+        combine_gpu = gpu_iterative_time(
+            COMBINE_FACTOR * gpu_mults, 1, self.machine.devices[1], PROFILE_COMBINE
         )
         tl.overlap(
             [

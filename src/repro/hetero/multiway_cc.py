@@ -21,11 +21,6 @@ ranges by a *threshold vector* of cumulative percentages.
   1-D search with the others held fixed, repeated until no coordinate
   moves — the natural vector generalization of the paper's 1-D searches.
 
-The pre-cluster constructor shape — a 2-device
-:class:`~repro.platform.machine.HeterogeneousMachine` plus an ``n_gpus``
-copy count — still works as a deprecated shim and prices bit-identically
-to the equivalent :meth:`ClusterSpec.from_machine` cluster.
-
 Pricing needs "edges within [a, b)" for arbitrary percent ranges; a
 :class:`RangeCutProfile` precomputes a 2-D dominance count over the
 101-point percent grid so every range query is O(1).
@@ -34,7 +29,6 @@ Pricing needs "edges within [a, b)" for arbitrary percent ranges; a
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,49 +53,15 @@ from repro.platform.costmodel import (
     PROFILE_MERGE,
     effective_rate_per_ms,
 )
-from repro.platform.machine import HeterogeneousMachine
 from repro.platform.timeline import Timeline
 from repro.util.errors import ValidationError
 from repro.util.rng import RngLike, as_generator
 
-#: Accelerator count the deprecated machine+``n_gpus`` constructor shape
-#: defaulted to before clusters existed.
-_LEGACY_DEFAULT_GPUS = 2
-
-
-def _coerce_problem_cluster(
-    cluster: HeterogeneousMachine | ClusterSpec,
-    n_gpus: int | None,
-    class_name: str,
-) -> ClusterSpec:
-    """Shared constructor shim for the multiway problems.
-
-    A :class:`ClusterSpec` passes through (``n_gpus`` must then be absent
-    or agree with its shape); the legacy machine+``n_gpus`` form widens
-    via :meth:`ClusterSpec.from_machine` under a :class:`DeprecationWarning`
-    — same spec objects, so pricing stays bit-identical.
-    """
-    if isinstance(cluster, ClusterSpec):
-        if n_gpus is not None and n_gpus != cluster.n_devices - 1:
-            raise ValidationError(
-                f"n_gpus={n_gpus} conflicts with cluster "
-                f"{cluster.name!r} of {cluster.n_devices - 1} accelerators"
-            )
-    elif isinstance(cluster, HeterogeneousMachine):
-        warnings.warn(
-            f"constructing {class_name} from a HeterogeneousMachine "
-            "(+ n_gpus) is deprecated; pass a repro.platform.ClusterSpec "
-            "(ClusterSpec.from_machine widens a 2-device machine)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        cluster = ClusterSpec.from_machine(
-            cluster, n_gpus=_LEGACY_DEFAULT_GPUS if n_gpus is None else n_gpus
-        )
-    else:
+def _require_gpu_cluster(cluster: ClusterSpec, class_name: str) -> ClusterSpec:
+    """Check *cluster* is a :class:`ClusterSpec` whose accelerators are GPUs."""
+    if not isinstance(cluster, ClusterSpec):
         raise ValidationError(
-            f"expected ClusterSpec or HeterogeneousMachine, got "
-            f"{type(cluster).__name__}"
+            f"{class_name} expects a ClusterSpec, got {type(cluster).__name__}"
         )
     for d in cluster.accelerators:
         if d.kind != "gpu":
@@ -109,6 +69,7 @@ def _coerce_problem_cluster(
                 f"{class_name} accelerators must be GPUs, got {d.kind!r}"
             )
     return cluster
+
 
 _INDEX = np.int64
 _BYTES_PER_VERTEX = 8
@@ -215,21 +176,18 @@ class MultiwayCcProblem:
     """Connected components across the devices of a :class:`ClusterSpec`.
 
     Device 0 (the host CPU) runs the DFS-style range; every accelerator
-    runs Shiloach-Vishkin on its own range, priced on its *own* spec.  The
-    deprecated 2-device form — a :class:`HeterogeneousMachine` plus an
-    ``n_gpus`` copy count — still works and prices bit-identically.
+    runs Shiloach-Vishkin on its own range, priced on its *own* spec.
     """
 
     def __init__(
         self,
         graph: Graph,
-        cluster: HeterogeneousMachine | ClusterSpec,
-        n_gpus: int | None = None,
+        cluster: ClusterSpec,
         name: str = "multiway-cc",
         vertex_weights: np.ndarray | None = None,
         work_scale: float = 1.0,
     ) -> None:
-        cluster = _coerce_problem_cluster(cluster, n_gpus, "MultiwayCcProblem")
+        cluster = _require_gpu_cluster(cluster, "MultiwayCcProblem")
         if work_scale <= 0:
             raise ValidationError("work_scale must be positive")
         self.graph = graph

@@ -12,8 +12,7 @@ Result slabs ship back over the cluster's interconnect: under the
 ``"shared"`` topology every transfer serializes on one link (one more
 reason adding GPUs has diminishing returns for output-heavy products);
 under ``"dedicated"`` each accelerator streams on its own link and the
-transfers overlap.  The deprecated machine+``n_gpus`` constructor shape is
-the ``"shared"`` homogeneous special case and prices bit-identically.
+transfers overlap.
 """
 
 from __future__ import annotations
@@ -23,11 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.hetero.multiway_cc import _coerce_problem_cluster
+from repro.hetero.multiway_cc import _require_gpu_cluster
 from repro.hetero.spmm import _BYTES_PER_NNZ, SpmmProblem
-from repro.platform.cluster import ClusterSpec
+from repro.platform.cluster import ClusterSpec, Interconnect
 from repro.platform.costmodel import effective_rate_per_ms
-from repro.platform.machine import HeterogeneousMachine
 from repro.platform.timeline import Timeline
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import vstack
@@ -57,20 +55,17 @@ class MultiwaySpmmProblem:
 
     Wraps a scalar :class:`SpmmProblem` for all per-row precomputation; the
     vector threshold only changes how its prefix arrays are cut, and each
-    range prices on its own device spec.  The deprecated 2-device form — a
-    :class:`HeterogeneousMachine` plus an ``n_gpus`` copy count — still
-    works and prices bit-identically.
+    range prices on its own device spec.
     """
 
     def __init__(
         self,
         a: CsrMatrix,
-        cluster: HeterogeneousMachine | ClusterSpec,
-        n_gpus: int | None = None,
+        cluster: ClusterSpec,
         name: str = "multiway-spmm",
         base: SpmmProblem | None = None,
     ) -> None:
-        cluster = _coerce_problem_cluster(cluster, n_gpus, "MultiwaySpmmProblem")
+        cluster = _require_gpu_cluster(cluster, "MultiwaySpmmProblem")
         warp_sizes = {d.warp_size for d in cluster.accelerators}
         if len(warp_sizes) != 1:
             raise ValidationError(
@@ -84,17 +79,14 @@ class MultiwaySpmmProblem:
             self._base = base
         else:
             # The base problem only needs the host spec, one accelerator
-            # spec (for the warp-padded row tables), and a link; give it
-            # the cluster's 2-device view.
-            self._base = SpmmProblem(
-                a,
-                HeterogeneousMachine(
-                    cpu=cluster.devices[0],
-                    gpu=cluster.devices[1],
-                    link=cluster.links[0],
-                ),
-                name=name,
+            # spec (for the warp-padded row tables), and a link: the
+            # cluster's first two devices.
+            head = ClusterSpec(
+                devices=cluster.devices[:2],
+                interconnect=Interconnect(links=cluster.links[:1]),
+                name=cluster.name,
             )
+            self._base = SpmmProblem(a, head, name=name)
         self.machine = self._base.machine
 
     @property

@@ -33,10 +33,10 @@ from repro.platform.costmodel import (
     PricingTables,
     cpu_chunked_time_many,
     effective_rate_per_ms,
+    gpu_iterative_time,
     gpu_row_per_warp_time_many,
 )
-from repro.platform.cluster import ClusterSpec, coerce_machine
-from repro.platform.machine import HeterogeneousMachine
+from repro.platform.cluster import ClusterSpec, require_two_devices
 from repro.platform.timeline import SpanQueue, Timeline
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import vstack
@@ -89,7 +89,7 @@ class SpmmProblem:
     def __init__(
         self,
         a: CsrMatrix,
-        machine: "HeterogeneousMachine | ClusterSpec",
+        machine: ClusterSpec,
         b: CsrMatrix | None = None,
         name: str = "spmm",
         work_scale: float = 1.0,
@@ -107,8 +107,7 @@ class SpmmProblem:
             raise ValidationError(f"unknown sampling_method {sampling_method!r}")
         self.a = a
         self.b = b if b is not None else a
-        # A 2-device ClusterSpec works anywhere the legacy machine does.
-        self.machine = coerce_machine(machine)
+        self.machine = require_two_devices(machine)
         self.name = name
         self.sampling_method = sampling_method
         # Scaled identify pricing (see CcProblem): a sampled instance prices
@@ -143,7 +142,8 @@ class SpmmProblem:
         # per-row atomicity prefix/suffix maxima, and warp-quantized
         # (row-per-warp) represented prefix sums — every aggregate the
         # analytic evaluators gather per threshold (docs/PERFORMANCE.md).
-        quantum = self.machine.gpu.warp_size * self.machine.gpu.flops_per_cycle
+        gpu = self.machine.devices[1]
+        quantum = gpu.warp_size * gpu.flops_per_cycle
         self._pricing = PricingTables.build(flops, rep=rep, quantum=quantum)
         self._flop_prefix_max = self._pricing.prefix_max
         # Represented (full-instance-equivalent) work for pricing.
@@ -242,7 +242,7 @@ class SpmmProblem:
         padded_work = self._rep_padded_prefix[n] - self._rep_padded_prefix[split]
         straggler = self.row_scale * self._flop_suffix_max[split]
         gpu_ms = gpu_row_per_warp_time_many(
-            padded_work, straggler, self.machine.gpu, self.profile
+            padded_work, straggler, self.machine.devices[1], self.profile
         )
         longest = np.maximum(
             np.where(split > 0, cpu_ms, 0.0), np.where(split < n, gpu_ms, 0.0)
@@ -250,7 +250,7 @@ class SpmmProblem:
 
         gpu_mults = (self._rep_flop_prefix[n] - self._rep_flop_prefix[split]) / 2.0
         c2_bytes = gpu_mults * self._compression * _BYTES_PER_NNZ
-        d2h = self.machine.transfer_ms_many(c2_bytes)
+        d2h = self.machine.link_for(1).transfer_ms_many(c2_bytes)
         return longest + np.where(split < n, d2h, 0.0)
 
     def timeline(self, threshold: float) -> Timeline:
@@ -338,9 +338,9 @@ class SpmmProblem:
         """Fixed cost of one identify run: Phase-I launch, two device
         launches, one result transfer."""
         return (
-            3 * self.machine.gpu.kernel_launch_us * 1e-3
+            3 * self.machine.devices[1].kernel_launch_us * 1e-3
             + self.machine.cpu.kernel_launch_us * 1e-3
-            + self.machine.link.latency_us * 1e-3
+            + self.machine.link_for(1).latency_us * 1e-3
         )
 
     def probe_cost_ms(self) -> float:
@@ -354,7 +354,7 @@ class SpmmProblem:
             raise ValidationError("probe_cost_ms is defined for sampled instances")
         work = float(self._flop_prefix[-1])
         cpu_rate = effective_rate_per_ms(self.machine.cpu, self.profile)
-        gpu_rate = effective_rate_per_ms(self.machine.gpu, self.profile)
+        gpu_rate = effective_rate_per_ms(self.machine.devices[1], self.profile)
         return work / (cpu_rate + gpu_rate)
 
     def default_sample_size(self) -> int:
@@ -363,7 +363,7 @@ class SpmmProblem:
 
     def naive_static_threshold(self) -> float:
         """CPU work share from the peak-FLOPS ratio (~12 on the testbed)."""
-        return 100.0 * (1.0 - self.machine.gpu_peak_share)
+        return 100.0 * (1.0 - self.machine.peak_shares()[1])
 
     def gpu_only_threshold(self) -> float:
         return 0.0
@@ -375,7 +375,7 @@ class SpmmProblem:
         probe run (any implementation caches the load vector between runs).
         """
         work = 2.0 * self.a.nnz + self.a.n_rows
-        return self.machine.gpu_iterative_ms(work, 1, PROFILE_NNZ_SCAN)
+        return gpu_iterative_time(work, 1, self.machine.devices[1], PROFILE_NNZ_SCAN)
 
     # -- identify probe (Section IV-A.b) ---------------------------------------------
 
@@ -430,7 +430,7 @@ class SpmmProblem:
         n = self.a.n_rows
         if split >= n:
             return 0.0
-        gpu = self.machine.gpu
+        gpu = self.machine.devices[1]
         padded_work = float(
             self._rep_padded_prefix[n] - self._rep_padded_prefix[split]
         )
@@ -466,7 +466,8 @@ class SpmmProblem:
                 self._rep_flop_prefix[n] - self._rep_flop_prefix[split]
             ) / 2.0
             c2_bytes = gpu_mults * self._compression * _BYTES_PER_NNZ
-            tl.run("pcie", "phase2/d2h-result", self.machine.transfer_ms(c2_bytes))
+            d2h = self.machine.link_for(1).transfer_ms(c2_bytes)
+            tl.run("pcie", "phase2/d2h-result", d2h)
         return tl
 
     # -- rounds / work stealing (repro.hetero.dynamic_rebalance) -----------------------
@@ -516,9 +517,9 @@ class SpmmProblem:
         split = self.split_row(threshold)
         n = self.a.n_rows
         cpu_rate = effective_rate_per_ms(self.machine.cpu, self.profile)
-        gpu_rate = effective_rate_per_ms(self.machine.gpu, self.profile)
+        gpu_rate = effective_rate_per_ms(self.machine.devices[1], self.profile)
         cpu_launch = self.machine.cpu.kernel_launch_us * 1e-3
-        gpu_launch = self.machine.gpu.kernel_launch_us * 1e-3
+        gpu_launch = self.machine.devices[1].kernel_launch_us * 1e-3
 
         def bounds_for(lo: int, hi: int) -> np.ndarray:
             if hi <= lo:
@@ -539,7 +540,7 @@ class SpmmProblem:
                 return queue
             flops = np.diff(self._flop_prefix[cut])
             padded = np.diff(self._padded_prefix[cut])
-            d2h = self.machine.transfer_ms_many(
+            d2h = self.machine.link_for(1).transfer_ms_many(
                 (flops / 2.0) * self._compression * _BYTES_PER_NNZ
             )
             labels = [

@@ -12,8 +12,10 @@ an analytic-plus-microarchitectural cost model:
 * :mod:`repro.platform.pcie` — host<->device transfer model;
 * :mod:`repro.platform.timeline` — a trace recorder that composes CPU/GPU
   spans (overlapped phases take the max, sequential phases add);
-* :mod:`repro.platform.machine` — :class:`HeterogeneousMachine`, the façade
-  the heterogeneous algorithms program against.
+* :mod:`repro.platform.cluster` — :class:`ClusterSpec`, the device list
+  plus interconnect every heterogeneous algorithm runs on;
+* :mod:`repro.platform.machine` — :func:`paper_testbed`, the paper's
+  2-device cluster.
 
 The simulator's purpose is *not* to predict absolute milliseconds on real
 silicon, but to make device time a non-trivial, input-structure-dependent
@@ -44,9 +46,8 @@ from repro.platform.cluster import (
     Interconnect,
     balanced_partition_sizes,
     cluster_testbed,
-    coerce_cluster,
-    coerce_machine,
     imbalance,
+    require_two_devices,
 )
 from repro.platform.calibration import (
     Measurement,
@@ -66,8 +67,7 @@ __all__ = [
     "ClusterSpec",
     "Interconnect",
     "cluster_testbed",
-    "coerce_cluster",
-    "coerce_machine",
+    "require_two_devices",
     "balanced_partition_sizes",
     "imbalance",
     "KernelProfile",
@@ -87,31 +87,3 @@ __all__ = [
     "calibrate_profile",
     "validate_profile",
 ]
-
-# Timeline *views* (utilization, Gantt, hazard validation) moved to the
-# observability layer; keep the old attribute access working with a
-# deprecation warning, lazily so platform never eagerly imports obs.
-_MOVED_TO_OBS = (
-    "ResourceUtilization",
-    "utilization",
-    "idle_spans",
-    "critical_summary",
-    "render_gantt",
-    "validate_timeline",
-)
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_OBS:
-        import warnings
-
-        warnings.warn(
-            f"repro.platform.{name} moved to repro.obs.{name}; "
-            "the repro.platform alias will be removed in a future release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.obs import timeline_view
-
-        return getattr(timeline_view, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

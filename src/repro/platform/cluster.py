@@ -18,10 +18,10 @@ Two idioms from real heterogeneous runtimes anchor the API (SNIPPETS.md):
   slowest device plus an imbalance statistic
   (:meth:`ClusterSpec.performance_ratios`, :func:`imbalance`).
 
-The legacy :class:`~repro.platform.machine.HeterogeneousMachine` is exactly
-the ``p = 2`` special case: :meth:`ClusterSpec.from_machine` and
-:meth:`ClusterSpec.as_machine` convert in both directions without touching
-any spec values, so pricing on either representation is bit-identical.
+The paper's own platform is the ``p = 2`` case (host CPU, one GPU, one
+link; :func:`~repro.platform.machine.paper_testbed`), which the scalar
+problems in :mod:`repro.hetero` require via :func:`require_two_devices`;
+:meth:`ClusterSpec.from_machine` widens it to more accelerators.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.platform.device import (
     gpu_tesla_k20c,
     gpu_tesla_k40c,
 )
-from repro.platform.machine import HeterogeneousMachine
 from repro.platform.pcie import PcieLink, pcie_gen2_x16, pcie_gen3_x16
 from repro.util.errors import ValidationError
 
@@ -196,9 +195,9 @@ class ClusterSpec:
         Returns ``p - 1`` non-decreasing cut percentages: device 0 owns
         ``[0, cut_1)``, device ``i`` owns ``[cut_i, cut_{i+1})``.  When the
         accelerators are identical this reduces to the legacy closed form
-        ``cpu_share + i * gpu_share`` (same floating-point expression, so
-        the ``p = 2``/homogeneous shims stay bit-identical); heterogeneous
-        accelerators take the general cumulative-share path.
+        ``cpu_share + i * gpu_share`` (the same floating-point expression
+        homogeneous clusters have always used); heterogeneous accelerators
+        take the general cumulative-share path.
         """
         peaks = [d.peak_gflops for d in self.devices]
         n_acc = len(peaks) - 1
@@ -236,48 +235,27 @@ class ClusterSpec:
     @classmethod
     def from_machine(
         cls,
-        machine: HeterogeneousMachine,
+        machine: "ClusterSpec",
         *,
         n_gpus: int = 1,
         topology: str = "shared",
         name: str | None = None,
     ) -> "ClusterSpec":
-        """Widen a 2-device machine to ``1 + n_gpus`` devices.
+        """Widen a 2-device platform to ``1 + n_gpus`` devices.
 
-        Every accelerator is one more copy of the machine's GPU spec and
-        link — the shape the deprecated ``n_gpus=`` multiway constructors
-        modelled.  Spec objects are reused, not rebuilt, so any pricing
-        done through the cluster is bit-identical to the machine path.
+        Every accelerator is one more copy of *machine*'s GPU spec and
+        link.  Spec objects are reused, not rebuilt, so pricing on the
+        widened cluster uses exactly the values of the 2-device one.
         """
+        require_two_devices(machine)
         if n_gpus < 1:
             raise ValidationError("n_gpus must be >= 1")
         return cls(
-            devices=(machine.cpu,) + (machine.gpu,) * n_gpus,
+            devices=(machine.cpu,) + (machine.devices[1],) * n_gpus,
             interconnect=Interconnect.uniform(
-                machine.link, n_gpus, topology=topology
+                machine.link_for(1), n_gpus, topology=topology
             ),
             name=name if name is not None else f"machine+{n_gpus}gpu",
-        )
-
-    def as_machine(self) -> HeterogeneousMachine:
-        """The legacy 2-device view; only defined for ``p == 2``.
-
-        The scalar hetero problems route ``ClusterSpec`` input through
-        this, so a 2-device cluster prices bit-identically to the
-        :class:`HeterogeneousMachine` it wraps.
-        """
-        if self.n_devices != 2:
-            raise ValidationError(
-                f"as_machine() needs exactly 2 devices, this cluster has "
-                f"{self.n_devices}"
-            )
-        if self.devices[1].kind != "gpu":
-            raise ValidationError(
-                f"as_machine() needs a GPU accelerator, got "
-                f"{self.devices[1].kind!r}"
-            )
-        return HeterogeneousMachine(
-            cpu=self.devices[0], gpu=self.devices[1], link=self.links[0]
         )
 
     @property
@@ -325,54 +303,29 @@ class ClusterSpec:
         )
 
 
-def coerce_machine(
-    platform: HeterogeneousMachine | ClusterSpec,
-) -> HeterogeneousMachine:
-    """Accept either platform type where a 2-device machine is required.
+def require_two_devices(machine: ClusterSpec) -> ClusterSpec:
+    """Check *machine* is a host CPU plus one GPU; return it unchanged.
 
-    The scalar hetero problems call this on their ``machine`` argument so
-    ``ClusterSpec`` works everywhere the legacy type does; a cluster with
-    more than 2 devices is rejected with a pointer at the multiway
-    problems.
+    The scalar problems (:mod:`repro.hetero` cc, spmm, hh_cpu, dense_mm)
+    partition across exactly these two devices and price from
+    ``machine.cpu``, ``machine.devices[1]`` and ``machine.link_for(1)``.
+    A wider cluster is pointed at the multiway problems.
     """
-    if isinstance(platform, HeterogeneousMachine):
-        return platform
-    if isinstance(platform, ClusterSpec):
-        if platform.n_devices != 2:
-            raise ValidationError(
-                f"this problem partitions across exactly 2 devices; "
-                f"cluster {platform.name!r} has {platform.n_devices} "
-                "(use MultiwayCcProblem / MultiwaySpmmProblem for p > 2)"
-            )
-        return platform.as_machine()
-    raise ValidationError(
-        f"expected HeterogeneousMachine or ClusterSpec, got {type(platform).__name__}"
-    )
-
-
-def coerce_cluster(
-    platform: HeterogeneousMachine | ClusterSpec, *, n_gpus: int | None = None
-) -> ClusterSpec:
-    """Accept either platform type where a cluster is required.
-
-    A legacy machine widens via :meth:`ClusterSpec.from_machine` (with
-    *n_gpus* accelerator copies); a cluster passes through untouched, and
-    then *n_gpus* must be absent or agree with its shape.
-    """
-    if isinstance(platform, ClusterSpec):
-        if n_gpus is not None and n_gpus != platform.n_devices - 1:
-            raise ValidationError(
-                f"n_gpus={n_gpus} conflicts with cluster of "
-                f"{platform.n_devices - 1} accelerators"
-            )
-        return platform
-    if isinstance(platform, HeterogeneousMachine):
-        return ClusterSpec.from_machine(
-            platform, n_gpus=1 if n_gpus is None else n_gpus
+    if not isinstance(machine, ClusterSpec):
+        raise ValidationError(
+            f"expected a ClusterSpec, got {type(machine).__name__}"
         )
-    raise ValidationError(
-        f"expected HeterogeneousMachine or ClusterSpec, got {type(platform).__name__}"
-    )
+    if machine.n_devices != 2:
+        raise ValidationError(
+            f"this problem partitions across exactly 2 devices; "
+            f"cluster {machine.name!r} has {machine.n_devices} "
+            "(use MultiwayCcProblem / MultiwaySpmmProblem for p > 2)"
+        )
+    if machine.devices[1].kind != "gpu":
+        raise ValidationError(
+            f"device 1 must be a GPU, got kind={machine.devices[1].kind!r}"
+        )
+    return machine
 
 
 def balanced_partition_sizes(n: int, shares: Sequence[float]) -> list[int]:
@@ -429,15 +382,16 @@ def cluster_testbed(
 ) -> ClusterSpec:
     """Paper-testbed host with *n_gpus* accelerators.
 
-    With ``mixed=False`` every accelerator is a Tesla K40c on PCIe 3 —
-    ``n_gpus=1`` is exactly :func:`~repro.platform.machine.paper_testbed`
-    widened via :meth:`ClusterSpec.from_machine`.  With ``mixed=True``
-    every second accelerator downgrades to the previous-generation pairing
-    (Tesla K20c on PCIe 2), making the cluster genuinely heterogeneous —
-    the shape the cut-vector tuner exists for.
+    With ``mixed=False`` every accelerator is a Tesla K40c on PCIe 3; one
+    accelerator is :func:`~repro.platform.machine.paper_testbed`.  With
+    ``mixed=True`` every second accelerator downgrades to the
+    previous-generation pairing (Tesla K20c on PCIe 2), making the cluster
+    genuinely heterogeneous — the shape the cut-vector tuner exists for.
 
-    ``time_scale`` shrinks fixed constants exactly as in
-    :func:`paper_testbed` (launch and link latencies only, never rates).
+    ``time_scale`` shrinks the *fixed* time constants (kernel-launch and
+    link latencies) without touching rates.  Experiments on 1/16-scale
+    Table II analogs pass the same 1/16 here so that the ratio of fixed
+    overheads to (scale-proportional) work matches the full-size testbed.
     """
     if n_gpus < 1:
         raise ValidationError("n_gpus must be >= 1")

@@ -1,141 +1,51 @@
-"""The :class:`HeterogeneousMachine` façade.
+"""The paper's two-device testbed, as a :class:`~repro.platform.ClusterSpec`.
 
-Heterogeneous algorithms (``repro.hetero``) program against this class
-instead of raw device specs: it bundles one CPU, one GPU and the PCIe link,
-exposes the cost models pre-bound to the right device, and knows the
-machine-level constants the baselines need (the peak-FLOPS ratio behind
-NaiveStatic).
+The scalar heterogeneous algorithms (``repro.hetero``) run on a 2-device
+cluster — the host CPU, one GPU and the PCIe link between them — and
+price it through :mod:`repro.platform.costmodel`.  :func:`paper_testbed`
+builds the paper's instance of that shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import warnings
 
-import numpy as np
-
-from repro.platform import costmodel
-from repro.platform.costmodel import KernelProfile
-from repro.platform.device import DeviceSpec, cpu_xeon_e5_2650_dual, gpu_tesla_k40c
-from repro.platform.pcie import PcieLink, pcie_gen3_x16
-from repro.util.errors import ValidationError
+from repro.platform.cluster import ClusterSpec, Interconnect, cluster_testbed
+from repro.platform.cluster import require_two_devices
+from repro.platform.device import DeviceSpec
+from repro.platform.pcie import PcieLink
+from repro.util.errors import ReproDeprecationWarning
 
 
-@dataclass(frozen=True)
-class HeterogeneousMachine:
-    """One CPU + one GPU joined by a PCIe link.
-
-    The paper restricts exposition to this two-device shape (Section II) and
-    so do we; the threshold is a scalar.  Extending to a device vector would
-    mean carrying one spec per device here and a threshold vector in
-    :mod:`repro.core`.
-    """
-
-    cpu: DeviceSpec
-    gpu: DeviceSpec
-    link: PcieLink
-
-    def __post_init__(self) -> None:
-        if self.cpu.kind != "cpu":
-            raise ValidationError(f"cpu slot got a {self.cpu.kind!r} device")
-        if self.gpu.kind != "gpu":
-            raise ValidationError(f"gpu slot got a {self.gpu.kind!r} device")
-
-    # -- device times --------------------------------------------------------
-
-    def cpu_chunked_ms(
-        self, work: np.ndarray, profile: KernelProfile, threads: int | None = None
-    ) -> float:
-        """CPU time for contiguous-chunked parallel processing of *work*."""
-        return costmodel.cpu_chunked_time(work, self.cpu, profile, threads=threads)
-
-    def cpu_chunk_sums_ms(
-        self, chunk_sums: np.ndarray, profile: KernelProfile
-    ) -> float:
-        """CPU time from precomputed per-thread chunk work sums."""
-        return costmodel.cpu_time_from_chunk_sums(chunk_sums, self.cpu, profile)
-
-    def cpu_sequential_ms(self, total_work: float, profile: KernelProfile) -> float:
-        """Single-thread CPU time for *total_work* units."""
-        return costmodel.cpu_sequential_time(total_work, self.cpu, profile)
-
-    def gpu_warp_ms(self, work: np.ndarray, profile: KernelProfile) -> float:
-        """GPU time for one-item-per-lane processing of *work* (divergence-aware)."""
-        return costmodel.gpu_warp_time(work, self.gpu, profile)
-
-    def gpu_row_warp_ms(self, work: np.ndarray, profile: KernelProfile) -> float:
-        """GPU time for one-item-per-warp processing (row-per-warp SpGEMM)."""
-        return costmodel.gpu_row_per_warp_time(work, self.gpu, profile)
-
-    def gpu_iterative_ms(
-        self, total_work_per_iteration: float, iterations: int, profile: KernelProfile
-    ) -> float:
-        """GPU time for an *iterations*-round label-propagation style kernel."""
-        return costmodel.gpu_iterative_time(
-            total_work_per_iteration, iterations, self.gpu, profile
-        )
-
-    def dense_ms(self, flops: float, spec: DeviceSpec, profile: KernelProfile) -> float:
-        """Regular (variance-free) kernel time on an explicit device."""
-        return costmodel.dense_mm_time(flops, spec, profile)
-
-    def transfer_ms(self, nbytes: float) -> float:
-        """Host<->device transfer time for *nbytes* (one direction)."""
-        return self.link.transfer_ms(nbytes)
-
-    def transfer_ms_many(self, nbytes: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`transfer_ms` over an array of sizes."""
-        return self.link.transfer_ms_many(nbytes)
-
-    # -- machine-level constants ----------------------------------------------
-
-    @property
-    def gpu_peak_share(self) -> float:
-        """GPU's fraction of the machine's total peak FLOP/s, in [0, 1].
-
-        This is the quantity the NaiveStatic baseline turns into a split:
-        the paper's testbed gives ~0.88.
-        """
-        g = self.gpu.peak_gflops
-        c = self.cpu.peak_gflops
-        return g / (g + c)
-
-    def without_fixed_overheads(self) -> "HeterogeneousMachine":
-        """A copy whose launch latencies and link latency are zero.
-
-        The identify step runs the heterogeneous algorithm on a miniature
-        sample whose work terms are orders of magnitude below the fixed
-        per-launch constants; minimizing raw sample runtimes would therefore
-        always pick the trivial "avoid the GPU entirely" boundary.  Since
-        launch latencies are known constants, the identify search minimizes
-        steady-state (work-only) time instead — the sampled problems are
-        bound to this overhead-free machine, while the *cost* of the
-        estimation still accounts the fixed constants separately (see
-        ``run_overhead_ms`` on the problem classes).
-        """
-        return HeterogeneousMachine(
-            cpu=replace(self.cpu, kernel_launch_us=0.0),
-            gpu=replace(self.gpu, kernel_launch_us=0.0),
-            link=replace(self.link, latency_us=0.0),
-        )
-
-
-def paper_testbed(time_scale: float = 1.0) -> HeterogeneousMachine:
+def paper_testbed(time_scale: float = 1.0) -> ClusterSpec:
     """The paper's platform: dual Xeon E5-2650 + Tesla K40c over PCIe 3 x16.
 
-    ``time_scale`` shrinks the *fixed* time constants (kernel-launch and
-    link latencies) without touching rates.  Experiments on 1/16-scale
-    Table II analogs pass the same 1/16 here so that the ratio of fixed
-    overheads to (scale-proportional) work matches the full-size testbed —
-    otherwise microsecond constants that are negligible at paper scale
-    would dominate millisecond-scale instances.
+    ``time_scale`` shrinks the fixed time constants exactly as in
+    :func:`~repro.platform.cluster.cluster_testbed`, of which this is the
+    one-accelerator case.
     """
-    if time_scale <= 0:
-        raise ValidationError("time_scale must be positive")
-    cpu = cpu_xeon_e5_2650_dual()
-    gpu = gpu_tesla_k40c()
-    link = pcie_gen3_x16()
-    # Scaling by exactly 1.0 is the identity, so no special case is needed.
-    cpu = replace(cpu, kernel_launch_us=cpu.kernel_launch_us * time_scale)
-    gpu = replace(gpu, kernel_launch_us=gpu.kernel_launch_us * time_scale)
-    link = replace(link, latency_us=link.latency_us * time_scale)
-    return HeterogeneousMachine(cpu=cpu, gpu=gpu, link=link)
+    return cluster_testbed(n_gpus=1, time_scale=time_scale)
+
+
+def HeterogeneousMachine(  # noqa: N802 - keeps the removed class's spelling
+    *, cpu: DeviceSpec, gpu: DeviceSpec, link: PcieLink
+) -> ClusterSpec:
+    """Deprecated: build the equivalent 2-device :class:`ClusterSpec`.
+
+    The ``HeterogeneousMachine`` class is gone; the scalar problems take
+    a 2-device cluster.  This factory keeps old call sites working for
+    one release and warns.
+    """
+    warnings.warn(
+        "HeterogeneousMachine is deprecated; build a 2-device "
+        "repro.platform.ClusterSpec (or call paper_testbed())",
+        ReproDeprecationWarning,
+        stacklevel=2,
+    )
+    return require_two_devices(
+        ClusterSpec(
+            devices=(cpu, gpu),
+            interconnect=Interconnect(links=(link,)),
+            name="machine",
+        )
+    )

@@ -10,6 +10,7 @@ from repro.util.errors import (
     ValidationError,
     SearchError,
     WorkloadError,
+    ReproDeprecationWarning,
 )
 from repro.util.rng import RngLike, as_generator, spawn_child, stable_seed
 from repro.util.stats import (
@@ -38,6 +39,7 @@ __all__ = [
     "ValidationError",
     "SearchError",
     "WorkloadError",
+    "ReproDeprecationWarning",
     "RngLike",
     "as_generator",
     "spawn_child",

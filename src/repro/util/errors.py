@@ -5,7 +5,8 @@ callers can catch a single type at API boundaries.  The subclasses separate
 the three places things can go wrong: malformed data structures
 (:class:`ValidationError`), threshold searches that cannot make progress
 (:class:`SearchError`), and workload generators asked for impossible
-instances (:class:`WorkloadError`).
+instances (:class:`WorkloadError`).  Deprecated spellings warn with
+:class:`ReproDeprecationWarning`.
 """
 
 from __future__ import annotations
@@ -29,3 +30,11 @@ class SearchError(ReproError, RuntimeError):
 
 class WorkloadError(ReproError, ValueError):
     """A workload generator was asked for an instance it cannot build."""
+
+
+class ReproDeprecationWarning(DeprecationWarning):
+    """A deprecated :mod:`repro` spelling was used (kept for one release).
+
+    Its own class so a test suite can turn repro's deprecations into
+    errors without touching third-party ones.
+    """

@@ -11,20 +11,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.platform.machine import HeterogeneousMachine, paper_testbed
+from repro.platform.cluster import ClusterSpec
+from repro.platform.machine import paper_testbed
 from repro.sparse.construct import from_dense
 from repro.sparse.csr import CsrMatrix
 from repro.graphs.graph import Graph
 
 
 @pytest.fixture(scope="session")
-def machine() -> HeterogeneousMachine:
+def machine() -> ClusterSpec:
     """The experiment-scale testbed."""
     return paper_testbed(time_scale=1 / 16)
 
 
 @pytest.fixture(scope="session")
-def full_machine() -> HeterogeneousMachine:
+def full_machine() -> ClusterSpec:
     """The unscaled testbed (device constants as published)."""
     return paper_testbed()
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.__main__ import main
 from repro.analysis.tracefile import dump_trace, load_trace
+from repro.platform.cluster import ClusterSpec
 from repro.platform.timeline import Span, Timeline
 from repro.util.errors import ValidationError
 
@@ -152,7 +153,7 @@ class TestExampleTraces:
         scale = 1 / 64
         machine = paper_testbed(time_scale=scale)
         graph = load_dataset("italy_osm", scale=scale).as_graph()
-        problem = MultiwayCcProblem(graph, machine, n_gpus=2)
+        problem = MultiwayCcProblem(graph, ClusterSpec.from_machine(machine, n_gpus=2))
         result = problem.run(problem.naive_static_thresholds())
         path = dump_trace(result.timeline, tmp_path / "multiway.json")
         assert main(["check-trace", str(path)]) == 0

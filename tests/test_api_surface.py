@@ -172,19 +172,24 @@ class TestApiSurface:
         with pytest.raises(TypeError):
             Interconnect(())
 
-    def test_deprecated_platform_trace_shim(self):
-        import warnings
+    def test_deprecated_machine_factory_shim(self):
+        import importlib
+
+        import pytest
 
         import repro.platform as platform_pkg
-        from repro import obs
+        from repro import ClusterSpec, HeterogeneousMachine, paper_testbed
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fn = platform_pkg.utilization
-            from repro.platform.trace import validate_timeline as shimmed
-        assert fn is obs.utilization
-        assert shimmed is obs.validate_timeline
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ), "old import paths must raise DeprecationWarning"
+        m = paper_testbed()
+        with pytest.warns(DeprecationWarning, match="ClusterSpec"):
+            built = HeterogeneousMachine(
+                cpu=m.cpu, gpu=m.devices[1], link=m.link_for(1)
+            )
+        assert isinstance(built, ClusterSpec)
+        assert built.cache_fields() == m.cache_fields()
+        # The expired timeline-view aliases are gone, not just deprecated.
+        with pytest.raises(AttributeError):
+            platform_pkg.utilization
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.platform.trace")
         assert "render_gantt" not in platform_pkg.__all__

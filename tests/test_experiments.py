@@ -28,7 +28,7 @@ FEW = ExperimentConfig(scale=1 / 64, seed=3, datasets=("cant", "pwtk", "webbase-
 class TestConfig:
     def test_machine_scaled(self):
         m = SMALL.machine()
-        assert m.gpu.kernel_launch_us == pytest.approx(8.0 / 64)
+        assert m.devices[1].kernel_launch_us == pytest.approx(8.0 / 64)
 
     def test_dataset_cache(self):
         assert SMALL.dataset("cant") is SMALL.dataset("cant")

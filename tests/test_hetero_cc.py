@@ -89,7 +89,7 @@ class TestPricing:
 
     def test_naive_static_is_flops_ratio(self, problem, machine):
         assert problem.naive_static_threshold() == pytest.approx(
-            100.0 * machine.gpu_peak_share
+            100.0 * machine.peak_shares()[1]
         )
 
     def test_grid_covers_percent_axis(self, problem):
@@ -109,7 +109,7 @@ class TestSampling:
         assert sub.is_sample and not problem.is_sample
         assert sub.graph.n == 40
         assert sub.vertex_weights.shape == (40,)
-        assert sub.machine.gpu.kernel_launch_us == 0.0
+        assert sub.machine.devices[1].kernel_launch_us == 0.0
         assert sub.work_scale == pytest.approx(problem.graph.n / 40)
 
     def test_sample_weights_are_parent_degrees(self, problem):

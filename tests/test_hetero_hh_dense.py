@@ -97,7 +97,7 @@ class TestHhPricing:
         share = sf_problem._row_mults[high].sum() / sf_problem._total_mults
         # The high-row share must be near (at most a few points above) the
         # CPU peak fraction.
-        assert share <= (1 - machine.gpu_peak_share) + 0.10
+        assert share <= (1 - machine.peak_shares()[1]) + 0.10
 
 
 class TestHhSampling:

@@ -7,6 +7,7 @@ from repro.core.oracle import exhaustive_oracle
 from repro.hetero.multiway_cc import coordinate_descent
 from repro.hetero.multiway_spmm import MultiwaySpmmProblem
 from repro.hetero.spmm import SpmmProblem
+from repro.platform.cluster import ClusterSpec
 from repro.sparse.spgemm import spgemm
 from repro.util.errors import ValidationError
 from repro.workloads.band import banded_matrix
@@ -14,7 +15,8 @@ from repro.workloads.band import banded_matrix
 
 @pytest.fixture()
 def problem(machine):
-    return MultiwaySpmmProblem(banded_matrix(1200, 14.0, rng=1), machine, n_gpus=2)
+    cluster = ClusterSpec.from_machine(machine, n_gpus=2)
+    return MultiwaySpmmProblem(banded_matrix(1200, 14.0, rng=1), cluster)
 
 
 class TestVectorGeometry:
@@ -40,7 +42,9 @@ class TestVectorGeometry:
 
     def test_rejects_zero_gpus(self, machine):
         with pytest.raises(ValidationError):
-            MultiwaySpmmProblem(banded_matrix(100, 5.0, rng=2), machine, n_gpus=0)
+            ClusterSpec.from_machine(machine, n_gpus=0)
+        with pytest.raises(ValidationError):  # a device is not a cluster
+            MultiwaySpmmProblem(banded_matrix(100, 5.0, rng=2), machine.cpu)
 
 
 class TestPricingAndSearch:
@@ -79,13 +83,13 @@ class TestSamplingAndExecution:
     @pytest.mark.parametrize("vec", [(0.0, 0.0), (25.0, 60.0), (100.0, 100.0)])
     def test_partitioned_product_exact(self, machine, vec):
         a = banded_matrix(300, 8.0, rng=4)
-        problem = MultiwaySpmmProblem(a, machine, n_gpus=2)
+        problem = MultiwaySpmmProblem(a, ClusterSpec.from_machine(machine, n_gpus=2))
         result = problem.run(vec)
         assert result.product.allclose(spgemm(a, a))
 
     def test_three_gpu_product_exact(self, machine):
         a = banded_matrix(240, 6.0, rng=5)
-        problem = MultiwaySpmmProblem(a, machine, n_gpus=3)
+        problem = MultiwaySpmmProblem(a, ClusterSpec.from_machine(machine, n_gpus=3))
         result = problem.run([15.0, 45.0, 75.0])
         assert result.product.allclose(spgemm(a, a))
         assert len(result.split_rows) == 3

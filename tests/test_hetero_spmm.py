@@ -90,7 +90,7 @@ class TestPricing:
 
     def test_naive_static_matches_flops_ratio(self, problem, machine):
         assert problem.naive_static_threshold() == pytest.approx(
-            100.0 * (1 - machine.gpu_peak_share)
+            100.0 * (1 - machine.peak_shares()[1])
         )
 
     def test_phase1_setup_positive(self, problem):
@@ -103,7 +103,7 @@ class TestSamplingAndRace:
         assert sub.a.shape == (150, 150)
         assert sub.work_scale == pytest.approx((600 / 150) ** 3)
         assert sub.row_scale == pytest.approx((600 / 150) ** 2)
-        assert sub.machine.gpu.kernel_launch_us == 0.0
+        assert sub.machine.devices[1].kernel_launch_us == 0.0
 
     def test_default_sample_is_quarter(self, problem):
         assert problem.default_sample_size() == 150

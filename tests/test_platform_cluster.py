@@ -1,10 +1,11 @@
 """Tests for repro.platform.cluster and the cut-vector tuner stack.
 
-Covers the ClusterSpec contract (validation, records, legacy round
-trips), the p = 2 bit-identity guarantee against the HeterogeneousMachine
-path for every case-study problem, the deprecation shims, cache-key
-separation by cluster shape, and the sample -> identify -> extrapolate
-pipeline on p in {2, 3, 4, 8} clusters.
+Covers the ClusterSpec contract (validation, records, widening a
+2-device testbed), the p = 2 bit-identity guarantee between the paper
+testbed and its widened copies for every case-study problem, the
+deprecated ``HeterogeneousMachine`` factory, cache-key separation by
+cluster shape, and the sample -> identify -> extrapolate pipeline on
+p in {2, 3, 4, 8} clusters.
 """
 
 import warnings
@@ -33,12 +34,11 @@ from repro.platform.cluster import (
     Interconnect,
     balanced_partition_sizes,
     cluster_testbed,
-    coerce_cluster,
-    coerce_machine,
     imbalance,
+    require_two_devices,
 )
 from repro.platform.device import gpu_tesla_k20c, gpu_tesla_k40c
-from repro.platform.machine import HeterogeneousMachine
+from repro.platform.machine import HeterogeneousMachine, paper_testbed
 from repro.platform.pcie import pcie_gen2_x16, pcie_gen3_x16
 from repro.util.errors import ValidationError
 from tests.conftest import random_graph, random_sparse
@@ -47,14 +47,14 @@ from tests.test_hetero_multiway import local_graph
 
 @pytest.fixture(scope="module")
 def pair(machine):
-    """The legacy machine as a p=2 cluster (spec objects shared)."""
+    """The testbed widened to one accelerator (spec objects shared)."""
     return ClusterSpec.from_machine(machine, n_gpus=1)
 
 
 class TestClusterSpecContract:
     def test_validation(self, machine):
-        gpu = machine.gpu
-        link = machine.link
+        gpu = machine.devices[1]
+        link = machine.link_for(1)
         with pytest.raises(ValidationError):
             ClusterSpec(
                 devices=(machine.cpu,),
@@ -84,23 +84,33 @@ class TestClusterSpecContract:
         link = pcie_gen2_x16()
         assert type(link).from_record(link.to_record()) == link
 
-    def test_from_machine_as_machine_round_trip(self, machine, pair):
+    def test_from_machine_widens_two_device_cluster(self, machine, pair):
         assert pair.n_devices == 2
         assert pair.cpu is machine.cpu
-        assert pair.accelerators == (machine.gpu,)
-        back = pair.as_machine()
-        assert back.cpu is machine.cpu
-        assert back.gpu is machine.gpu
-        assert back.link is machine.link
-        wide = cluster_testbed(n_gpus=3)
-        with pytest.raises(ValidationError):
-            wide.as_machine()
+        assert pair.accelerators == (machine.devices[1],)
+        assert pair.link_for(1) is machine.link_for(1)
+        wide = ClusterSpec.from_machine(machine, n_gpus=3, topology="dedicated")
+        assert wide.accelerators == (machine.devices[1],) * 3
+        assert wide.links == (machine.link_for(1),) * 3
+        with pytest.raises(ValidationError):  # only a 2-device platform widens
+            ClusterSpec.from_machine(wide, n_gpus=2)
+
+    @pytest.mark.parametrize("scale", [1.0, 1 / 16, 1 / 64, 0.02])
+    @pytest.mark.parametrize("n_gpus", [1, 2, 3, 7])
+    @pytest.mark.parametrize("topology", ["shared", "dedicated"])
+    def test_widened_testbed_matches_cluster_testbed(self, scale, n_gpus, topology):
+        widened = ClusterSpec.from_machine(
+            paper_testbed(time_scale=scale), n_gpus=n_gpus, topology=topology
+        )
+        built = cluster_testbed(n_gpus=n_gpus, time_scale=scale, topology=topology)
+        assert widened.devices == built.devices
+        assert widened.interconnect == built.interconnect
 
     def test_naive_static_cuts_match_legacy_pair(self, machine, pair):
         # p=2: one cut at the legacy CPU peak share.
         (cut,) = pair.naive_static_cuts()
         c = machine.cpu.peak_gflops
-        g = machine.gpu.peak_gflops
+        g = machine.devices[1].peak_gflops
         assert cut == min(100.0, round(100.0 * c / (c + g)))
 
     def test_naive_static_cuts_are_non_decreasing(self):
@@ -119,14 +129,20 @@ class TestClusterSpecContract:
         homogeneous = cluster_testbed(n_gpus=4)
         assert homogeneous.merge_device_index() == 1
 
-    def test_coercions(self, machine, pair):
-        assert coerce_machine(machine) is machine
-        assert coerce_machine(pair).cpu is machine.cpu
-        with pytest.raises(ValidationError):
-            coerce_machine(cluster_testbed(n_gpus=2))
-        assert coerce_cluster(pair) is pair
-        from_mach = coerce_cluster(machine, n_gpus=2)
-        assert from_mach.n_devices == 3
+    def test_require_two_devices(self, machine, pair):
+        assert require_two_devices(machine) is machine
+        assert require_two_devices(pair) is pair
+        with pytest.raises(ValidationError, match="MultiwayCcProblem"):
+            require_two_devices(cluster_testbed(n_gpus=2))
+        with pytest.raises(ValidationError, match="GPU"):
+            require_two_devices(
+                ClusterSpec(
+                    devices=(machine.cpu, machine.cpu),
+                    interconnect=Interconnect.uniform(machine.link_for(1), 1),
+                )
+            )
+        with pytest.raises(ValidationError, match="ClusterSpec"):
+            require_two_devices(machine.cpu)
 
     def test_cluster_testbed_shapes(self):
         mixed = cluster_testbed(n_gpus=4, mixed=True, topology="dedicated")
@@ -159,7 +175,7 @@ class TestBalanceHelpers:
 
 
 class TestP2BitIdentity:
-    """ClusterSpec([cpu, gpu]) must price exactly like the legacy machine."""
+    """The testbed and its widened copy must price exactly alike."""
 
     def test_scalar_problems_price_identically(self, machine, pair):
         graph = random_graph(400, 900, seed=3)
@@ -173,7 +189,7 @@ class TestP2BitIdentity:
         for cls, arg in cases:
             legacy = cls(arg, machine)
             clustered = cls(arg, pair)
-            assert clustered.machine == legacy.machine
+            assert clustered.machine.cache_fields() == legacy.machine.cache_fields()
             for t in legacy.threshold_grid()[:: max(1, len(legacy.threshold_grid()) // 7)]:
                 assert clustered.evaluate_ms(t) == legacy.evaluate_ms(t)
 
@@ -186,10 +202,9 @@ class TestP2BitIdentity:
         graph = local_graph(2000, 7)
         matrix = random_sparse(150, 150, 0.05, seed=8)
         pair3 = ClusterSpec.from_machine(machine, n_gpus=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy_cc = MultiwayCcProblem(graph, machine, n_gpus=2)
-            legacy_sp = MultiwaySpmmProblem(matrix, machine, n_gpus=2)
+        testbed3 = cluster_testbed(n_gpus=2, time_scale=1 / 16)
+        legacy_cc = MultiwayCcProblem(graph, testbed3)
+        legacy_sp = MultiwaySpmmProblem(matrix, testbed3)
         new_cc = MultiwayCcProblem(graph, pair3)
         new_sp = MultiwaySpmmProblem(matrix, pair3)
         vectors = [(20.0, 60.0), (0.0, 100.0), (33.0, 33.0), (5.0, 95.0)]
@@ -218,11 +233,9 @@ class TestP2BitIdentity:
         assert fanned.threshold == serial.threshold
         assert fanned.best_time_ms == serial.best_time_ms
 
-    def test_run_identical_through_shim(self, machine):
+    def test_run_identical_widened_and_built(self, machine):
         graph = local_graph(1500, 11)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = MultiwayCcProblem(graph, machine, n_gpus=2)
+        legacy = MultiwayCcProblem(graph, cluster_testbed(n_gpus=2, time_scale=1 / 16))
         new = MultiwayCcProblem(graph, ClusterSpec.from_machine(machine, n_gpus=2))
         a = legacy.run([25.0, 70.0])
         b = new.run([25.0, 70.0])
@@ -234,12 +247,16 @@ class TestP2BitIdentity:
 
 
 class TestDeprecationShim:
-    def test_n_gpus_keyword_warns(self, machine):
+    def test_machine_factory_warns(self, machine):
+        with pytest.warns(DeprecationWarning, match="ClusterSpec"):
+            built = HeterogeneousMachine(
+                cpu=machine.cpu, gpu=machine.devices[1], link=machine.link_for(1)
+            )
+        assert built.cache_fields() == machine.cache_fields()
         graph = random_graph(100, 150, seed=12)
-        with pytest.warns(DeprecationWarning, match="ClusterSpec"):
-            MultiwayCcProblem(graph, machine, n_gpus=2)
-        with pytest.warns(DeprecationWarning, match="ClusterSpec"):
-            MultiwaySpmmProblem(random_sparse(40, 40, 0.1, seed=13), machine)
+        assert CcProblem(graph, built).evaluate_ms(60.0) == CcProblem(
+            graph, machine
+        ).evaluate_ms(60.0)
 
     def test_cluster_path_does_not_warn(self, machine, pair):
         graph = random_graph(100, 150, seed=12)
@@ -248,7 +265,8 @@ class TestDeprecationShim:
             MultiwayCcProblem(graph, pair)
 
     def test_cluster_with_conflicting_n_gpus_rejected(self, machine, pair):
-        with pytest.raises(ValidationError):
+        # The legacy accelerator-count keyword is gone: the cluster says it.
+        with pytest.raises(TypeError):
             MultiwayCcProblem(random_graph(50, 80, seed=14), pair, n_gpus=3)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.platform import costmodel
 from repro.platform.costmodel import PROFILE_SPGEMM
 from repro.platform.device import cpu_xeon_e5_2650_dual, gpu_tesla_k40c
 from repro.platform.machine import HeterogeneousMachine, paper_testbed
@@ -98,24 +99,31 @@ class TestTimeline:
 class TestMachine:
     def test_paper_testbed_composition(self):
         m = paper_testbed()
-        assert m.cpu.kind == "cpu" and m.gpu.kind == "gpu"
-        assert m.gpu_peak_share == pytest.approx(0.88, abs=0.005)
+        assert m.n_devices == 2
+        assert m.cpu.kind == "cpu" and m.devices[1].kind == "gpu"
+        assert m.peak_shares()[1] == pytest.approx(0.88, abs=0.005)
 
     def test_slots_validated(self):
         cpu, gpu = cpu_xeon_e5_2650_dual(), gpu_tesla_k40c()
-        with pytest.raises(ValidationError):
-            HeterogeneousMachine(cpu=gpu, gpu=gpu, link=pcie_gen3_x16())
-        with pytest.raises(ValidationError):
-            HeterogeneousMachine(cpu=cpu, gpu=cpu, link=pcie_gen3_x16())
+        with pytest.warns(DeprecationWarning, match="ClusterSpec"):
+            m = HeterogeneousMachine(cpu=cpu, gpu=gpu, link=pcie_gen3_x16())
+        assert m.devices == (cpu, gpu) and m.link_for(1) == pcie_gen3_x16()
+        for bad_cpu, bad_gpu in ((gpu, gpu), (cpu, cpu)):
+            with pytest.raises(ValidationError), pytest.warns(DeprecationWarning):
+                HeterogeneousMachine(cpu=bad_cpu, gpu=bad_gpu, link=pcie_gen3_x16())
 
     def test_time_scale_shrinks_fixed_constants_only(self):
         full = paper_testbed()
         scaled = paper_testbed(time_scale=1 / 16)
-        assert scaled.gpu.kernel_launch_us == pytest.approx(full.gpu.kernel_launch_us / 16)
-        assert scaled.link.latency_us == pytest.approx(full.link.latency_us / 16)
+        assert scaled.devices[1].kernel_launch_us == pytest.approx(
+            full.devices[1].kernel_launch_us / 16
+        )
+        assert scaled.link_for(1).latency_us == pytest.approx(
+            full.link_for(1).latency_us / 16
+        )
         # Rates untouched.
-        assert scaled.gpu.peak_gflops == full.gpu.peak_gflops
-        assert scaled.link.bandwidth_gbs == full.link.bandwidth_gbs
+        assert scaled.devices[1].peak_gflops == full.devices[1].peak_gflops
+        assert scaled.link_for(1).bandwidth_gbs == full.link_for(1).bandwidth_gbs
 
     def test_time_scale_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
@@ -124,15 +132,16 @@ class TestMachine:
     def test_without_fixed_overheads(self):
         m = paper_testbed().without_fixed_overheads()
         assert m.cpu.kernel_launch_us == 0.0
-        assert m.gpu.kernel_launch_us == 0.0
-        assert m.link.latency_us == 0.0
+        assert m.devices[1].kernel_launch_us == 0.0
+        assert m.link_for(1).latency_us == 0.0
         # Rates and capacities survive.
-        assert m.gpu.cores == paper_testbed().gpu.cores
+        assert m.devices[1].cores == paper_testbed().devices[1].cores
 
     def test_device_time_helpers_consistent_with_costmodel(self):
         m = paper_testbed()
         work = np.full(64, 100.0)
-        assert m.gpu_row_warp_ms(work, PROFILE_SPGEMM) > 0
-        assert m.cpu_chunked_ms(work, PROFILE_SPGEMM) > 0
-        assert m.cpu_sequential_ms(10.0, PROFILE_SPGEMM) > 0
-        assert m.transfer_ms(1e6) > 0
+        gpu = m.devices[1]
+        assert costmodel.gpu_row_per_warp_time(work, gpu, PROFILE_SPGEMM) > 0
+        assert costmodel.cpu_chunked_time(work, m.cpu, PROFILE_SPGEMM) > 0
+        assert costmodel.cpu_sequential_time(10.0, m.cpu, PROFILE_SPGEMM) > 0
+        assert m.link_for(1).transfer_ms(1e6) > 0

@@ -40,7 +40,7 @@ class TestCcSamplingMethods:
         problem = CcProblem(g, machine)
         sub = problem.sample(40, rng=5, method="literal")
         assert not sub.is_sample
-        assert sub.machine.gpu.kernel_launch_us == machine.gpu.kernel_launch_us
+        assert sub.machine.devices[1].kernel_launch_us == machine.devices[1].kernel_launch_us
 
     def test_method_from_constructor(self, machine):
         g = random_graph(300, 500, seed=6)

@@ -4,7 +4,8 @@
 # package), the whole-program project analysis (determinism /
 # parallel-safety / unit rules over the project graph), the API surface
 # snapshot (docs/API.md vs the live surface), the engine test suite,
-# then the full tier-1 test suite.
+# every example under -W error::DeprecationWarning, then the full tier-1
+# test suite.
 # Run from the repository root:
 #
 #     tools/check.sh            # lint + analysis + API snapshot + tests
@@ -45,6 +46,13 @@ echo
 echo "== cluster experiments (docs/CLUSTER.md) =="
 python -m pytest -x -q tests/test_platform_cluster.py
 python -m repro.experiments ext-cluster --scale 0.02 --no-cache
+
+echo
+echo "== examples (-W error::DeprecationWarning) =="
+for example in examples/*.py; do
+    echo "$example"
+    python -W error::DeprecationWarning "$example" > /dev/null
+done
 
 echo
 echo "== tier-1 tests =="

@@ -115,20 +115,15 @@ def build() -> str:
         "",
         "Names listed in a package `__all__` are the stable surface.  When",
         "a name moves or a signature is generalized, the old spelling keeps",
-        "working for one deprecation cycle and emits a `DeprecationWarning`",
-        "naming its replacement; results through the shim stay bit-identical",
-        "to the replacement path.  Current shims:",
+        "working for one deprecation cycle and emits a",
+        "`ReproDeprecationWarning` (a `DeprecationWarning`) naming its",
+        "replacement; results through the shim stay bit-identical to the",
+        "replacement path.  The test suite turns these warnings into errors",
+        "outside `pytest.warns`.  Current shims:",
         "",
-        "- `repro.platform.{utilization, idle_spans, critical_summary,",
-        "  render_gantt, validate_timeline, ResourceUtilization}` — moved to",
-        "  `repro.obs` (module `__getattr__` shim).",
-        "- `repro.platform.trace` — moved to `repro.obs.timeline_view`.",
-        "- `MultiwayCcProblem(graph, machine, n_gpus=...)` /",
-        "  `MultiwaySpmmProblem(a, machine, n_gpus=...)` — the legacy",
-        "  2-device-machine signature; pass a `ClusterSpec` instead",
-        "  (`ClusterSpec.from_machine(machine, n_gpus=...)` prices",
-        "  bit-identically).  Lint rule `API002` keeps non-shim code off",
-        "  the old spelling.",
+        "- `HeterogeneousMachine(cpu=..., gpu=..., link=...)` — the",
+        "  2-device machine class is gone; the factory returns the",
+        "  equivalent 2-device `ClusterSpec` (or call `paper_testbed()`).",
         "",
     ]
     for qualname in PACKAGES:
