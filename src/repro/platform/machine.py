@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import warnings
 
-from repro.platform.cluster import ClusterSpec, Interconnect, cluster_testbed
-from repro.platform.cluster import require_two_devices
+from repro.platform.cluster import (
+    ClusterSpec,
+    Interconnect,
+    cluster_testbed,
+    require_two_devices,
+)
 from repro.platform.device import DeviceSpec
 from repro.platform.pcie import PcieLink
 from repro.util.errors import ReproDeprecationWarning
