@@ -41,7 +41,7 @@ from repro.platform.pcie import PcieLink, pcie_gen2_x16, pcie_gen3_x16
 from repro.util.errors import ValidationError
 
 #: Interconnect topologies: ``"shared"`` — one physical link, transfers
-#: serialize on the ``"pcie"`` timeline resource (the legacy machine's
+#: serialize on the ``"pcie"`` timeline resource (the 2-device testbed's
 #: behaviour); ``"dedicated"`` — one link per accelerator, transfers
 #: overlap on per-device ``"link{i}"`` resources.
 TOPOLOGIES = ("shared", "dedicated")
@@ -54,7 +54,7 @@ class Interconnect:
     ``links[i]`` connects the host (device 0) to accelerator ``i + 1``;
     there are exactly ``p - 1`` of them.  *topology* says whether those
     links contend: under ``"shared"`` every transfer serializes on one
-    ``"pcie"`` resource (one physical bus — the legacy machine shape),
+    ``"pcie"`` resource (one physical bus, as on the 2-device testbed),
     under ``"dedicated"`` each accelerator streams on its own
     ``"link{i}"`` resource and transfers overlap.
     """
