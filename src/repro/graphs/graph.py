@@ -14,6 +14,8 @@ import numpy as np
 from repro.util.errors import ValidationError
 
 _INDEX = np.int64
+#: Cells a fused ``lo * n + hi`` int64 edge key can address.
+_KEY_CELLS = 2**63
 
 
 class Graph:
@@ -38,6 +40,7 @@ class Graph:
     def __init__(self, n: int, edge_u: np.ndarray, edge_v: np.ndarray) -> None:
         if n < 0:
             raise ValidationError("n must be non-negative")
+        n = int(n)
         u = np.asarray(edge_u, dtype=_INDEX)
         v = np.asarray(edge_v, dtype=_INDEX)
         if u.shape != v.shape or u.ndim != 1:
@@ -47,24 +50,47 @@ class Graph:
                 raise ValidationError("edge endpoint out of range")
             if np.any(u == v):
                 raise ValidationError("self loops are not allowed")
-        # Canonicalize (lo, hi) and deduplicate.
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        if lo.size:
-            order = np.lexsort((hi, lo))
-            lo, hi = lo[order], hi[order]
-            keep = np.concatenate(([True], (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])))
-            lo, hi = lo[keep], hi[keep]
-        self.n = int(n)
+        if n * n > _KEY_CELLS:
+            raise ValidationError(
+                f"graph with n={n} vertices is too large: its edge key "
+                f"n * n overflows int64"
+            )
+        # Canonicalize (lo, hi) and deduplicate on the fused key lo*n + hi:
+        # sorted keys are the edges in (lo, hi) order.  (np.sort plus a
+        # neighbour mask, not np.unique, whose hash path is much slower.)
+        key = np.minimum(u, v)
+        key *= n
+        key += np.maximum(u, v)
+        key.sort()
+        if key.size:
+            key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+        lo = key // n
+        hi = np.remainder(key, n, out=key)
+        self.n = n
         self.edge_u = lo
         self.edge_v = hi
-        # Build CSR adjacency with both orientations.
-        both_src = np.concatenate([lo, hi])
-        both_dst = np.concatenate([hi, lo])
-        counts = np.bincount(both_src, minlength=n)
-        self.indptr = np.concatenate(([0], np.cumsum(counts))).astype(_INDEX)
-        order2 = np.argsort(both_src, kind="stable")
-        self.adjacency = both_dst[order2]
+        # CSR adjacency with both orientations, placed rather than sorted.
+        # Vertex v lists its higher neighbours (edges with lo == v, already
+        # ascending in the edge list) and then its lower neighbours (edges
+        # with hi == v, ascending lo after a stable argsort on hi).
+        lo_counts = np.bincount(lo, minlength=n)
+        hi_counts = np.bincount(hi, minlength=n)
+        degrees = lo_counts + hi_counts
+        self.indptr = np.concatenate(([0], np.cumsum(degrees))).astype(_INDEX)
+        edge_ids = np.arange(lo.size, dtype=_INDEX)
+        adjacency = np.empty(2 * lo.size, dtype=_INDEX)
+        # Edge i sits at indptr[lo_i] + (i - first edge with lo == lo_i),
+        # which is i plus the hi-entries of the vertices before lo_i.
+        dest = np.cumsum(hi_counts)
+        dest -= hi_counts
+        dest = dest[lo]
+        dest += edge_ids
+        adjacency[dest] = hi
+        # The j-th edge in hi order lands after all lo-entries up to its hi.
+        dest = np.repeat(np.cumsum(lo_counts), hi_counts)
+        dest += edge_ids
+        adjacency[dest] = lo[np.argsort(hi, kind="stable")]
+        self.adjacency = adjacency
 
     # -- queries ---------------------------------------------------------------
 

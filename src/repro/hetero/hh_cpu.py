@@ -165,8 +165,9 @@ class HhCpuProblem:
         self._rows_expanded = np.repeat(
             np.arange(a.n_rows, dtype=_INDEX), a.row_nnz()
         )
-        self._row_mults = np.zeros(a.n_rows, dtype=np.float64)
-        np.add.at(self._row_mults, self._rows_expanded, self._contrib)
+        self._row_mults = np.bincount(
+            self._rows_expanded, weights=self._contrib, minlength=a.n_rows
+        )
         self._total_mults = float(self._row_mults.sum())
         if compression is not None:
             self._compression = float(compression)

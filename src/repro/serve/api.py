@@ -18,6 +18,8 @@ is the byte representation all equality contracts compare.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,7 +150,8 @@ class TuneRequest:
             )
         if self.problem in CLUSTER_KINDS and self.repeats != 1:
             raise ValidationError(
-                f"cluster kinds tune with repeats=1, got {self.repeats}"
+                f"problem kind {self.problem!r} tunes with repeats=1, got "
+                f"repeats={self.repeats}"
             )
         if self.dataset not in dataset_names():
             raise ValidationError(
@@ -167,8 +170,8 @@ class TuneRequest:
             raise ValidationError(f"rounds must be >= 1, got {self.rounds}")
         if self.problem in CLUSTER_KINDS and self.rounds != 1:
             raise ValidationError(
-                f"cluster kinds tune statically (rounds=1), got rounds="
-                f"{self.rounds}"
+                f"problem kind {self.problem!r} tunes statically (rounds=1), "
+                f"got rounds={self.rounds}"
             )
 
     def key_fields(self) -> dict:
@@ -225,19 +228,77 @@ class TuneRequest:
         }
 
     @classmethod
-    def from_record(cls, record: dict) -> "TuneRequest":
+    def from_record(cls, record: Mapping) -> "TuneRequest":
+        """Decode a :meth:`to_record` mapping.
+
+        A missing required field, or a field of the wrong type (a
+        non-number, a non-finite number, a non-integral value in an int
+        field, a list), raises :class:`ValidationError` naming the field.
+        """
+        if not isinstance(record, Mapping):
+            raise ValidationError(
+                f"a request record must be a mapping, got {type(record).__name__}"
+            )
         sample_size = record.get("sample_size")
         return cls(
-            problem=str(record["problem"]),
-            dataset=str(record["dataset"]),
-            scale=float(record["scale"]),
-            seed=int(record["seed"]),
-            repeats=int(record.get("repeats", 1)),
-            sample_size=None if sample_size is None else int(sample_size),
-            n_devices=int(record.get("n_devices", 2)),
-            interconnect=str(record.get("interconnect", "shared")),
-            rounds=int(record.get("rounds", 1)),
+            problem=_str_field(record, "problem"),
+            dataset=_str_field(record, "dataset"),
+            scale=_float_field(record, "scale"),
+            seed=_int_field(record, "seed"),
+            repeats=_int_field(record, "repeats", 1),
+            sample_size=(
+                None if sample_size is None else _int_field(record, "sample_size")
+            ),
+            n_devices=_int_field(record, "n_devices", 2),
+            interconnect=_str_field(record, "interconnect", "shared"),
+            rounds=_int_field(record, "rounds", 1),
         )
+
+
+_REQUIRED = object()
+
+
+def _field(record: Mapping, name: str, default: object) -> object:
+    value = record.get(name, default)
+    if value is _REQUIRED:
+        raise ValidationError(f"request record is missing field {name!r}")
+    return value
+
+
+def _str_field(record: Mapping, name: str, default: object = _REQUIRED) -> str:
+    value = _field(record, name, default)
+    if not isinstance(value, str):
+        raise ValidationError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _float_field(record: Mapping, name: str, default: object = _REQUIRED) -> float:
+    value = _field(record, name, default)
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is out of float range: {value!r}") from None
+    if not math.isfinite(number):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def _int_field(record: Mapping, name: str, default: object = _REQUIRED) -> int:
+    """An int field; an integral finite float is accepted as its int."""
+    value = _field(record, name, default)
+    if isinstance(value, (float, np.floating)):
+        if not (math.isfinite(value) and float(value).is_integer()):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+        value, (int, np.integer)
+    ):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, kw_only=True)

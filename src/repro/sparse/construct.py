@@ -16,6 +16,8 @@ from repro.util.rng import RngLike, as_generator
 
 _INDEX = np.int64
 _VALUE = np.float64
+#: Cells a fused ``row * n_cols + col`` int64 key can address.
+_KEY_CELLS = 2**63
 
 
 def from_coo(
@@ -28,33 +30,54 @@ def from_coo(
     """Build CSR from coordinate triples.
 
     Entries are sorted into row-major order; duplicates at the same
-    coordinate are summed (the COO convention) unless *sum_duplicates* is
-    false, in which case duplicates raise :class:`ValidationError`.
+    coordinate are summed in input order (the COO convention) unless
+    *sum_duplicates* is false, in which case duplicates raise
+    :class:`ValidationError`.  ``n_rows * n_cols`` must fit in int64.
     """
     rows = np.asarray(rows, dtype=_INDEX)
     cols = np.asarray(cols, dtype=_INDEX)
     vals = np.asarray(vals, dtype=_VALUE)
     if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
         raise ValidationError("rows/cols/vals must be 1-D arrays of equal length")
-    n_rows, n_cols = shape
+    n_rows, n_cols = int(shape[0]), int(shape[1])
+    if n_rows * n_cols > _KEY_CELLS:
+        raise ValidationError(
+            f"shape {(n_rows, n_cols)} is too large: its row-major key "
+            f"n_rows * n_cols overflows int64"
+        )
     if rows.size:
         if rows.min() < 0 or rows.max() >= n_rows:
             raise ValidationError("row index out of range")
         if cols.min() < 0 or cols.max() >= n_cols:
             raise ValidationError("column index out of range")
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    if rows.size:
-        dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-        if np.any(dup):
+    # One fused row-major key.  A stable argsort of it is the permutation
+    # a (row, col) lexsort gives, and stability keeps duplicates in input
+    # order, which the left-fold sum below relies on.  Already row-major
+    # streams skip the sort.  The key is sorted in place (equal keys are
+    # indistinguishable) and only it and the values are kept: rows and
+    # columns are derived from it.
+    key = rows * n_cols
+    key += cols
+    del rows, cols
+    if key.size > 1 and np.any(key[1:] < key[:-1]):
+        vals = vals[np.argsort(key, kind="stable")]
+        key.sort()
+    else:
+        vals = vals.copy()  # the matrix must not alias the caller's array
+    if key.size:
+        first = np.concatenate(([True], key[1:] != key[:-1]))
+        if not first.all():
             if not sum_duplicates:
                 raise ValidationError("duplicate coordinates present")
-            # Segment boundaries where a new (row, col) starts.
-            first = np.concatenate(([True], ~dup))
-            seg_ids = np.cumsum(first) - 1
-            summed = np.zeros(int(seg_ids[-1]) + 1, dtype=_VALUE)
-            np.add.at(summed, seg_ids, vals)
-            rows, cols, vals = rows[first], cols[first], summed
+            # Segment id of each entry = index of its (row, col) among the
+            # distinct coordinates; weighted bincount adds in input order.
+            seg_ids = np.cumsum(first)
+            seg_ids -= 1
+            vals = np.bincount(seg_ids, weights=vals)
+            del seg_ids
+            key = key[first]
+    rows = key // n_cols
+    cols = np.remainder(key, n_cols, out=key)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
     return CsrMatrix(indptr, cols, vals, shape)
 

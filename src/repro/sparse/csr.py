@@ -91,10 +91,10 @@ class CsrMatrix:
             if int(self.indices.min()) < 0 or int(self.indices.max()) >= n_cols:
                 raise ValidationError("column index out of range")
             # Sorted-and-unique within each row: the only allowed descents in
-            # the global indices array are at row boundaries.
-            descents = np.flatnonzero(np.diff(self.indices) <= 0) + 1
-            boundaries = self.indptr[1:-1]
-            if not np.all(np.isin(descents, boundaries)):
+            # the global indices array are where a row starts.
+            row_start = np.zeros(nnz + 1, dtype=bool)
+            row_start[self.indptr] = True
+            if np.any((np.diff(self.indices) <= 0) & ~row_start[1:nnz]):
                 raise ValidationError("column indices must be sorted and unique per row")
 
     # -- basic queries ----------------------------------------------------------

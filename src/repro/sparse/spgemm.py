@@ -25,6 +25,8 @@ from repro.util.errors import ValidationError
 from repro.util.rng import as_generator
 
 _INDEX = np.int64
+#: Multiplies per keyed sort in :func:`estimate_compression`.
+_SAMPLE_BLOCK_MULTS = 1 << 16
 
 
 def _check_compatible(a: CsrMatrix, b: CsrMatrix) -> None:
@@ -44,10 +46,8 @@ def load_vector(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
     _check_compatible(a, b)
     v_b = b.row_nnz().astype(np.float64)
     contributions = v_b[a.indices]
-    out = np.zeros(a.n_rows, dtype=np.float64)
     rows = np.repeat(np.arange(a.n_rows, dtype=_INDEX), a.row_nnz())
-    np.add.at(out, rows, contributions)
-    return out
+    return np.bincount(rows, weights=contributions, minlength=a.n_rows)
 
 
 def row_flops(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
@@ -62,7 +62,7 @@ def total_flops(a: CsrMatrix, b: CsrMatrix) -> float:
 
 # The bucketed fold walks a dense accumulator of n_cols cells per row; it
 # only pays off when the expansion stream roughly fills those cells.  Below
-# this expansion-to-cells ratio the lexsort fold in ``from_coo`` wins.
+# this expansion-to-cells ratio the sort-based fold in ``from_coo`` wins.
 _FOLD_DENSITY_CUTOFF = 8
 # Dense-accumulator budget per row block (cells, not bytes): bounds peak
 # memory of the fold at ~3 arrays of this many elements.
@@ -78,13 +78,13 @@ def _bucket_fold(
     """Fold an expansion stream (already grouped by row) without sorting.
 
     ``exp_ptr[r]`` bounds row *r*'s slice of ``out_cols``/``out_vals`` — the
-    stream ``np.repeat`` produces is non-decreasing in row, so no lexsort is
+    stream ``np.repeat`` produces is non-decreasing in row, so no sort is
     needed: each row block scatters into a dense ``rows_in_block x n_cols``
     accumulator via ``np.bincount``.  Weighted bincount adds duplicates in
-    input order — the same left-fold ``np.add.at`` performs after the stable
-    lexsort in :func:`from_coo` — so the result is bit-identical to that
-    path.  Unweighted counts supply the structural pattern, which keeps
-    explicit zeros exactly as ``from_coo`` does.
+    input order — the same left-fold :func:`from_coo` performs after its
+    stable fused-key sort — so the result is bit-identical to that path.
+    Unweighted counts supply the structural pattern, which keeps explicit
+    zeros exactly as ``from_coo`` does.
     """
     n_rows, n_cols = shape
     block_rows = max(1, _FOLD_BLOCK_CELLS // max(n_cols, 1))
@@ -125,7 +125,7 @@ def spgemm(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
 
     Dense expansion streams (banded operands, where overlapping bands make
     the per-row expansion comparable to ``n_cols``) skip the ``from_coo``
-    lexsort entirely and fold through :func:`_bucket_fold`; sparse streams
+    sort entirely and fold through :func:`_bucket_fold`; sparse streams
     (rmat/uniform) keep the sort-based fold.  Both paths produce
     bit-identical matrices.
     """
@@ -199,18 +199,39 @@ def estimate_compression(
     candidates = np.flatnonzero(lv > 0)
     k = min(max_rows, candidates.size)
     rows = rng.choice(candidates, size=k, replace=False)
-    sampled_mults = 0.0
-    sampled_nnz = 0.0
-    b_row_nnz = b.row_nnz()
-    for i in rows:
-        cols_a, _ = a.row(int(i))
-        if cols_a.size == 0:
-            continue
-        expand_counts = b_row_nnz[cols_a]
-        gather = _ranges_gather(b.indptr[cols_a], expand_counts)
-        out_cols = b.indices[gather]
-        sampled_mults += float(out_cols.size)
-        sampled_nnz += float(np.unique(out_cols).size)
-    if sampled_mults == 0:
+    if k == 0:
         return 1.0
-    return float(np.clip(sampled_nnz / sampled_mults, 0.0, 1.0))
+    # Per-row multiply counts are exact integers in the float load vector.
+    # Blocks of consecutive sampled rows hold at most _SAMPLE_BLOCK_MULTS
+    # multiplies (a heavier row is a block of its own), which bounds the
+    # keyed sort's memory.
+    row_mults = lv[rows].astype(_INDEX)
+    ends = np.cumsum(row_mults)
+    sampled_nnz = 0
+    start = 0
+    while start < k:
+        base = int(ends[start - 1]) if start else 0
+        stop = int(np.searchsorted(ends, base + _SAMPLE_BLOCK_MULTS, side="right"))
+        stop = max(stop, start + 1)
+        sampled_nnz += _distinct_cols(a, b, rows[start:stop], row_mults[start:stop])
+        start = stop
+    return float(np.clip(sampled_nnz / float(ends[-1]), 0.0, 1.0))
+
+
+def _distinct_cols(
+    a: CsrMatrix, b: CsrMatrix, rows: np.ndarray, row_mults: np.ndarray
+) -> int:
+    """Summed distinct output-column counts of *rows* of ``A x B``.
+
+    One sort of the fused ``(sample index, column)`` key over the block's
+    whole expansion stream; distinct keys are distinct (row, column)
+    pairs, so the count equals a per-row ``np.unique`` summed.
+    """
+    a_counts = a.indptr[rows + 1] - a.indptr[rows]
+    cols_a = a.indices[_ranges_gather(a.indptr[rows], a_counts)]
+    b_counts = b.indptr[cols_a + 1] - b.indptr[cols_a]
+    key = np.repeat(np.arange(rows.size, dtype=_INDEX), row_mults)
+    key *= b.n_cols
+    key += b.indices[_ranges_gather(b.indptr[cols_a], b_counts)]
+    key.sort()
+    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))

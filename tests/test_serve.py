@@ -26,6 +26,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import FaultPlan, FaultSpec
 from repro.engine.faults import armed_synth_plan
@@ -138,6 +139,92 @@ class TestApiTypes:
 
 # ---------------------------------------------------------------------------
 # The determinism contract
+
+
+#: Valid request records the decoder fuzz mutates (scalar, cluster, dynamic).
+_RECORDS = (
+    TuneRequest(problem="cc", dataset="cant").to_record(),
+    TuneRequest(
+        problem="cluster-spmm", dataset="pwtk", n_devices=4, interconnect="dedicated"
+    ).to_record(),
+    TuneRequest(
+        problem="hh", dataset="webbase-1M", seed=9, sample_size=40, rounds=3
+    ).to_record(),
+)
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**30), 10**30),
+    st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.sampled_from(["cc", "cluster-cc", "dedicated", "cant", "7", "0.5"]),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+)
+
+
+class TestRequestDecoding:
+    """``TuneRequest.from_record`` is total: a request or a named ValidationError."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(_RECORDS),
+        st.lists(
+            st.tuples(
+                st.sampled_from(list(_RECORDS[0])),
+                st.one_of(st.just("<deleted>"), _JUNK),
+            ),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda edit: edit[0],
+        ),
+    )
+    def test_mutated_record_raises_only_named_validation_errors(self, base, edits):
+        record = dict(base)
+        for name, value in edits:
+            if value == "<deleted>":
+                del record[name]
+            else:
+                record[name] = value
+        try:
+            request = TuneRequest.from_record(record)
+        except ValidationError as exc:
+            assert any(name in str(exc) for name, _ in edits), str(exc)
+        else:
+            assert TuneRequest.from_record(request.to_record()) == request
+
+    @pytest.mark.parametrize(
+        "edit, fragment",
+        [
+            ({"seed": None}, "seed must be an integer"),
+            ({"seed": float("inf")}, "seed must be an integer"),
+            ({"seed": 2.5}, "seed must be an integer"),
+            ({"repeats": []}, "repeats must be an integer"),
+            ({"n_devices": "x"}, "n_devices must be an integer"),
+            ({"scale": float("inf")}, "scale must be finite"),
+            ({"scale": 10**400}, "scale is out of float range"),
+            ({"scale": "0.1"}, "scale must be a number"),
+            ({"problem": ["cc"]}, "problem must be a string"),
+        ],
+    )
+    def test_bad_field_is_named(self, edit, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            TuneRequest.from_record(dict(_RECORDS[0], **edit))
+
+    def test_missing_field_is_named(self):
+        record = dict(_RECORDS[0])
+        del record["seed"]
+        with pytest.raises(ValidationError, match="missing field 'seed'"):
+            TuneRequest.from_record(record)
+
+    def test_non_mapping_refused(self):
+        with pytest.raises(ValidationError, match="mapping"):
+            TuneRequest.from_record([("problem", "cc")])
+
+    def test_integral_float_reads_as_int(self):
+        request = TuneRequest.from_record(dict(_RECORDS[0], seed=3.0))
+        assert type(request.seed) is int and request.seed == 3
 
 
 class TestByteIdentity:
