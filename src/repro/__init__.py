@@ -58,8 +58,7 @@ Subpackages
 
 The names re-exported here (see ``__all__``) are the library's stable
 public API; anything else may move between releases (old spellings keep
-working for one deprecation cycle, as the ``HeterogeneousMachine`` factory
-does now).
+working for one deprecation cycle).
 """
 
 from repro.core import (
@@ -104,7 +103,6 @@ from repro.hetero import (
     MultiwaySpmmProblem,
 )
 from repro.platform import (
-    HeterogeneousMachine,
     ClusterSpec,
     Interconnect,
     DeviceSpec,
@@ -175,7 +173,6 @@ __all__ = [
     "DenseMmProblem",
     "MultiwayCcProblem",
     "MultiwaySpmmProblem",
-    "HeterogeneousMachine",
     "ClusterSpec",
     "Interconnect",
     "DeviceSpec",

@@ -76,10 +76,12 @@ class PartitionProblem(Protocol):
 #: pricing a whole threshold grid in one vectorized pass over O(n)
 #: precomputed tables (see ``repro.platform.costmodel.PricingTables`` and
 #: docs/PERFORMANCE.md).  It must agree with ``evaluate_ms`` point for
-#: point; the scalar method stays the semantic ground truth.  The hook is
-#: deliberately not part of the protocol above: problems opt in, and
-#: callers go through :func:`evaluate_grid`, which falls back to a scalar
-#: loop for problems that don't.
+#: point.  The shipped hetero problems have one pricer each: their
+#: ``evaluate_ms`` is a one-element ``evaluate_many`` batch and their
+#: ``timeline`` records that batch's row.  The hook is deliberately not
+#: part of the protocol above: user problems may implement only
+#: ``evaluate_ms``, and callers go through :func:`evaluate_grid`, which
+#: falls back to a scalar loop for problems without the hook.
 
 
 def has_batch_pricing(problem: PartitionProblem) -> bool:

@@ -106,76 +106,50 @@ class CutProfile:
     def m(self) -> int:
         return self._m
 
-    def _check(self, k: int) -> None:
-        if not 0 <= k <= self._n:
-            raise ValidationError(f"cut {k} out of range [0, {self._n}]")
+    def _gather(self, table: np.ndarray, ks):
+        """``table[k]`` for a cut or an array of cuts (int for a scalar cut)."""
+        arr = np.asarray(ks, dtype=_INDEX)
+        if arr.size and (int(arr.min()) < 0 or int(arr.max()) > self._n):
+            raise ValidationError(f"cut {ks} out of range [0, {self._n}]")
+        out = table[arr]
+        return int(out) if arr.ndim == 0 else out
 
-    def m_cpu(self, k: int) -> int:
-        self._check(k)
-        return int(self._edges_below[k])
+    def m_cpu(self, k):
+        """Edges below cut *k* (a cut or an array of cuts)."""
+        return self._gather(self._edges_below, k)
 
-    def m_gpu(self, k: int) -> int:
-        self._check(k)
-        return int(self._edges_at_or_above[k])
+    def m_gpu(self, k):
+        """Edges at or above cut *k* (a cut or an array of cuts)."""
+        return self._gather(self._edges_at_or_above, k)
 
-    def m_cross(self, k: int) -> int:
-        self._check(k)
+    def m_cross(self, k):
+        """Edges crossing cut *k* (a cut or an array of cuts)."""
         return self._m - self.m_cpu(k) - self.m_gpu(k)
 
-    def cpu_degree_sum(self, k: int) -> int:
-        self._check(k)
-        return int(self._degree_prefix[k])
+    def cpu_degree_sum(self, k):
+        """Adjacency volume below cut *k* (a cut or an array of cuts)."""
+        return self._gather(self._degree_prefix, k)
 
-    def gpu_degree_sum(self, k: int) -> int:
-        self._check(k)
-        return int(self._degree_prefix[self._n] - self._degree_prefix[k])
+    def gpu_degree_sum(self, k):
+        """Adjacency volume at or above cut *k* (a cut or an array of cuts)."""
+        return int(self._degree_prefix[self._n]) - self.cpu_degree_sum(k)
 
     def cpu_chunk_degree_sums(self, k: int, chunks: int) -> np.ndarray:
         """Adjacency volume of each of *chunks* contiguous equal-vertex chunks
         of ``[0, k)`` (naive chunking; kept for analysis and tests)."""
-        self._check(k)
+        self._gather(self._degree_prefix, k)
         if chunks < 1:
             raise ValidationError("chunks must be >= 1")
         bounds = np.linspace(0, k, chunks + 1).astype(_INDEX)
         return np.diff(self._degree_prefix[bounds]).astype(np.float64)
 
-    def max_degree_below(self, k: int) -> int:
+    def max_degree_below(self, k):
         """Largest vertex degree among ``[0, k)`` — the chunk atomicity floor.
 
         Work-balanced chunking (Algorithm 1 line 6 as any competent
         implementation writes it: equal adjacency volume per thread, not
         equal vertex counts) evens chunk sums out, but a single vertex's
         traversal cannot be split, so the heaviest chunk is at least the
-        heaviest vertex.
+        heaviest vertex.  Takes a cut or an array of cuts.
         """
-        self._check(k)
-        return int(self._degree_prefix_max[k])
-
-    # -- vectorized accessors (batched threshold pricing) --------------------
-
-    def _check_many(self, ks: np.ndarray) -> np.ndarray:
-        ks = np.asarray(ks, dtype=_INDEX)
-        if ks.size and (int(ks.min()) < 0 or int(ks.max()) > self._n):
-            raise ValidationError(f"cuts out of range [0, {self._n}]")
-        return ks
-
-    def m_cpu_many(self, ks: np.ndarray) -> np.ndarray:
-        """``m_cpu`` over an array of cuts (one table gather)."""
-        return self._edges_below[self._check_many(ks)]
-
-    def m_gpu_many(self, ks: np.ndarray) -> np.ndarray:
-        """``m_gpu`` over an array of cuts."""
-        return self._edges_at_or_above[self._check_many(ks)]
-
-    def m_cross_many(self, ks: np.ndarray) -> np.ndarray:
-        """``m_cross`` over an array of cuts."""
-        ks = self._check_many(ks)
-        return self._m - self._edges_below[ks] - self._edges_at_or_above[ks]
-
-    def cpu_degree_sum_many(self, ks: np.ndarray) -> np.ndarray:
-        """``cpu_degree_sum`` over an array of cuts."""
-        return self._degree_prefix[self._check_many(ks)]
-
-    def max_degree_below_many(self, ks: np.ndarray) -> np.ndarray:
-        """``max_degree_below`` over an array of cuts."""
-        return self._degree_prefix_max[self._check_many(ks)]
+        return self._gather(self._degree_prefix_max, k)

@@ -58,7 +58,7 @@ from repro.platform.costmodel import (
     effective_rate_per_ms,
 )
 from repro.platform.cluster import ClusterSpec, require_two_devices
-from repro.platform.timeline import Timeline
+from repro.platform.timeline import PricedSchedule, Timeline
 from repro.util.errors import ValidationError
 from repro.util.rng import RngLike, as_generator
 
@@ -108,13 +108,19 @@ class CcRunResult:
         return self.timeline.total_ms
 
 
-def modeled_merge_iterations(n_cross_edges: int) -> int:
-    """Hooking rounds modeled for the cross-edge merge: ``ceil(log2(c)) + 1``."""
-    if n_cross_edges < 0:
+def modeled_merge_iterations(n_cross_edges):
+    """Hooking rounds modeled for the cross-edge merge: ``ceil(log2(c)) + 1``.
+
+    Takes a count or an integer array of counts; counts of at most one
+    edge take one round.
+    """
+    c = np.asarray(n_cross_edges, dtype=_INDEX)
+    if np.any(c < 0):
         raise ValidationError("cross edge count must be non-negative")
-    if n_cross_edges <= 1:
-        return 1
-    return int(math.ceil(math.log2(n_cross_edges))) + 1
+    # ceil(log2(c)) is the bit length of c - 1, which frexp's exponent
+    # gives exactly for integers.
+    rounds = np.where(c <= 1, 1, np.frexp(np.maximum(c - 1, 1))[1] + 1)
+    return int(rounds) if rounds.ndim == 0 else rounds.astype(_INDEX)
 
 
 class CcProblem:
@@ -213,31 +219,40 @@ class CcProblem:
 
     def evaluate_ms(self, threshold: float) -> float:
         """Phase-II makespan at *threshold* (GPU vertex share, percent)."""
-        return self._phase2(threshold).total_ms
+        return float(self.evaluate_many(np.array([threshold]))[0])
 
     def timeline(self, threshold: float) -> Timeline:
         """Full span-level trace of Phase II at *threshold*."""
-        return self._phase2(threshold)
+        return self._schedule(np.array([threshold])).timeline()
 
     def evaluate_many(self, thresholds: np.ndarray) -> np.ndarray:
-        """Batched :meth:`evaluate_ms` over a threshold array.
+        """Phase-II makespans over a threshold array (any shape)."""
+        return self._schedule(thresholds).makespans()
+
+    def _schedule(self, thresholds: np.ndarray) -> PricedSchedule:
+        """Phase II at every threshold: the one pricer.
 
         One vectorized pass over the O(1)-per-cut tables (the
         :class:`~repro.graphs.partition.CutProfile` for full instances,
-        the sampled-instance :class:`PricingTables`), mirroring the scalar
-        evaluator's float64 arithmetic operation for operation so both
-        paths price a threshold bit-identically (docs/PERFORMANCE.md).
+        the sampled-instance :class:`PricingTables`).  CPU chunked DFS
+        over the prefix ``[0, k)`` overlaps GPU Shiloach-Vishkin over the
+        suffix; when both sides are populated the CPU labels ship up and
+        the GPU merges across the cut (Algorithm 1 line 9).
+
+        The CPU side is work-balanced chunking with per-vertex atomicity.
+        Sampled instances price the full instance they represent: totals
+        are represented work (each sampled vertex stands for its
+        Hansen-Hurwitz share) while the atomicity floor — the heaviest
+        single vertex's own traversal — stays at its true, unscaled
+        magnitude (its weight is an original degree).
         """
         ts = np.asarray(thresholds, dtype=np.float64)
-        if ts.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        if float(ts.min()) < 0.0 or float(ts.max()) > 100.0:
-            raise ValidationError("thresholds must be in [0, 100]")
+        bad = ts[~((ts >= 0.0) & (ts <= 100.0))]
+        if bad.size:
+            raise ValidationError(f"threshold must be in [0, 100], got {bad[0]}")
         n = self.graph.n
-        if n == 0:
-            return np.zeros(ts.shape, dtype=np.float64)
         n_gpu = np.round(n * ts / 100.0).astype(_INDEX)
-        k = n - n_gpu
+        k = n - n_gpu  # CPU owns [0, k)
 
         cpu = self.machine.cpu
         gpu = self.machine.devices[1]
@@ -251,9 +266,9 @@ class CcProblem:
             atom = self._atom_prefix_max[k]
         else:
             cpu_work = self.work_scale * (
-                k + self._cut.cpu_degree_sum_many(k)
+                k + self._cut.cpu_degree_sum(k)
             ).astype(np.float64)
-            atom = 1.0 + self._cut.max_degree_below_many(k).astype(np.float64)
+            atom = 1.0 + self._cut.max_degree_below(k).astype(np.float64)
         heaviest = np.maximum(cpu_work / threads, atom)
         cpu_ms = heaviest / (rate_cpu / threads) + cpu.kernel_launch_us * 1e-3
 
@@ -262,7 +277,7 @@ class CcProblem:
             gpu_work = self._rep_prefix[n] - self._rep_prefix[k]
         else:
             gpu_work = self.work_scale * (
-                (n - k) + 2 * self._cut.m_gpu_many(k)
+                (n - k) + 2 * self._cut.m_gpu(k)
             ).astype(np.float64)
         sweep = SV_EFFECTIVE_PASSES * gpu_work / rate_gpu
         sv_iters = np.where(
@@ -272,29 +287,28 @@ class CcProblem:
         )
         gpu_ms = sweep + sv_iters * gpu.kernel_launch_us * 1e-3
 
-        longest = np.maximum(
-            np.where(k > 0, cpu_ms, 0.0), np.where(n_gpu > 0, gpu_ms, 0.0)
-        )
-
         # Merge across the cut (runs only when both sides are populated).
-        merge_mask = (k > 0) & (n_gpu > 0)
+        merge = (k > 0) & (n_gpu > 0)
         transfer = self.machine.link_for(1).transfer_ms_many(k * _BYTES_PER_VERTEX)
-        m_cross = self._cut.m_cross_many(k)
-        # modeled_merge_iterations uses math.log2; evaluate it once per
-        # distinct cross-edge count so batch and scalar agree bit-exactly.
-        uniq, inverse = np.unique(m_cross, return_inverse=True)
-        merge_iters = np.array(
-            [modeled_merge_iterations(int(c)) for c in uniq], dtype=_INDEX
-        )[inverse].reshape(m_cross.shape)
+        m_cross = self._cut.m_cross(k)
         merge_rate = effective_rate_per_ms(gpu, PROFILE_MERGE)
         merge_ms = (
             MERGE_EFFECTIVE_PASSES
             * (2.0 * m_cross.astype(np.float64) + 1.0)
             / merge_rate
-            + merge_iters * gpu.kernel_launch_us * 1e-3
+            + modeled_merge_iterations(m_cross) * gpu.kernel_launch_us * 1e-3
         )
-        total = longest + np.where(merge_mask, transfer, 0.0)
-        return total + np.where(merge_mask, merge_ms, 0.0)
+        return PricedSchedule(
+            ts.shape,
+            [
+                [
+                    ("cpu", "phase2/cc-cpu-dfs", cpu_ms, k > 0),
+                    ("gpu", "phase2/cc-gpu-sv", gpu_ms, n_gpu > 0),
+                ],
+                [("pcie", "phase2/h2d-cpu-labels", transfer, merge)],
+                [("gpu", "phase2/merge-cross-edges", merge_ms, merge)],
+            ],
+        )
 
     def threshold_grid(self) -> np.ndarray:
         return np.arange(0.0, 101.0)
@@ -440,81 +454,6 @@ class CcProblem:
         """Threshold (GPU vertex share, percent) giving the CPU *share*."""
         return 100.0 * (1.0 - min(max(share, 0.0), 1.0))
 
-    # -- analytic Phase II pricing ------------------------------------------------
-
-    def _cpu_work(self, k: int) -> float:
-        """Represented CPU-side work units for the prefix ``[0, k)``."""
-        if self._rep_prefix is not None:
-            return float(self._rep_prefix[k])
-        return self.work_scale * float(k + self._cut.cpu_degree_sum(k))
-
-    def _gpu_work(self, k: int) -> float:
-        """Represented GPU-side sweep units for the suffix ``[k, n)``."""
-        n = self.graph.n
-        if self._rep_prefix is not None:
-            return float(self._rep_prefix[n] - self._rep_prefix[k])
-        return self.work_scale * float((n - k) + 2 * self._cut.m_gpu(k))
-
-    def _cpu_ms(self, k: int) -> float:
-        """Work-balanced chunking with per-vertex atomicity.
-
-        Sampled instances price the full instance they represent: totals
-        are represented work (each sampled vertex stands for its
-        Hansen-Hurwitz share) while the atomicity floor — the heaviest
-        single vertex's own traversal — stays at its true, unscaled
-        magnitude (its weight is an original degree).
-        """
-        rate = effective_rate_per_ms(self.machine.cpu, self.profile)
-        work = self._cpu_work(k)
-        threads = self.machine.cpu.threads
-        if self._atom_prefix_max is not None:
-            atom = float(self._atom_prefix_max[k])
-        else:
-            atom = 1.0 + self._cut.max_degree_below(k)
-        heaviest = max(work / threads, atom)
-        per_thread = rate / threads
-        return heaviest / per_thread + self.machine.cpu.kernel_launch_us * 1e-3
-
-    def _gpu_ms(self, k: int) -> float:
-        n_gpu = self.graph.n - k
-        gpu = self.machine.devices[1]
-        rate = effective_rate_per_ms(gpu, self.profile)
-        sweep = SV_EFFECTIVE_PASSES * self._gpu_work(k) / rate
-        launches = modeled_sv_iterations(n_gpu) * gpu.kernel_launch_us * 1e-3
-        return sweep + launches
-
-    def _phase2(self, threshold: float) -> Timeline:
-        k = self._cut_index(threshold)  # CPU owns [0, k)
-        n = self.graph.n
-        n_gpu = n - k
-        tl = Timeline()
-        if n == 0:
-            return tl
-
-        tasks: list[tuple[str, str, float]] = []
-        if k > 0:
-            tasks.append(("cpu", "phase2/cc-cpu-dfs", self._cpu_ms(k)))
-        if n_gpu > 0:
-            tasks.append(("gpu", "phase2/cc-gpu-sv", self._gpu_ms(k)))
-        tl.overlap(tasks)
-
-        # Merge across the cut on the GPU (Algorithm 1 line 9).
-        if k > 0 and n_gpu > 0:
-            tl.run(
-                "pcie",
-                "phase2/h2d-cpu-labels",
-                self.machine.link_for(1).transfer_ms(k * _BYTES_PER_VERTEX),
-            )
-            m_cross = self._cut.m_cross(k)
-            merge_iters = modeled_merge_iterations(m_cross)
-            merge_rate = effective_rate_per_ms(self.machine.devices[1], PROFILE_MERGE)
-            merge_ms = (
-                MERGE_EFFECTIVE_PASSES * (2.0 * m_cross + 1.0) / merge_rate
-                + merge_iters * self.machine.devices[1].kernel_launch_us * 1e-3
-            )
-            tl.run("gpu", "phase2/merge-cross-edges", merge_ms)
-        return tl
-
     # -- real execution ------------------------------------------------------------
 
     def run(self, threshold: float) -> CcRunResult:
@@ -547,5 +486,5 @@ class CcProblem:
             n_components=n_components,
             gpu_sv=gpu_sv,
             merge_sv=merge_sv,
-            timeline=self._phase2(threshold),
+            timeline=self.timeline(threshold),
         )

@@ -20,11 +20,10 @@ import numpy as np
 from repro.platform.costmodel import (
     PROFILE_DENSE_MM,
     cpu_sequential_time,
-    dense_mm_time,
     effective_rate_per_ms,
 )
 from repro.platform.cluster import ClusterSpec, require_two_devices
-from repro.platform.timeline import Timeline
+from repro.platform.timeline import PricedSchedule, Timeline
 from repro.util.errors import ValidationError
 from repro.util.rng import RngLike, as_generator
 
@@ -75,19 +74,27 @@ class DenseMmProblem:
     # -- PartitionProblem protocol --------------------------------------------------
 
     def evaluate_ms(self, threshold: float) -> float:
-        return self._pipeline(threshold).total_ms
+        return float(self.evaluate_many(np.array([threshold]))[0])
 
     def evaluate_many(self, thresholds: np.ndarray) -> np.ndarray:
-        """Batched :meth:`evaluate_ms` (the regular model vectorizes directly)."""
+        """Makespans over a threshold array (the regular model vectorizes directly)."""
+        return self._schedule(thresholds).makespans()
+
+    def timeline(self, threshold: float) -> Timeline:
+        return self._schedule(np.array([threshold])).timeline()
+
+    def _schedule(self, thresholds: np.ndarray) -> PricedSchedule:
+        """The partitioned GEMM at every threshold: the one pricer.
+
+        Operands are dual-resident (see the spmm module); only the GPU's
+        slab of C returns over PCIe.
+        """
         ts = np.asarray(thresholds, dtype=np.float64)
-        if ts.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        if float(ts.min()) < 0.0 or float(ts.max()) > 100.0:
-            raise ValidationError("thresholds must be in [0, 100]")
+        bad = ts[~((ts >= 0.0) & (ts <= 100.0))]
+        if bad.size:
+            raise ValidationError(f"threshold must be in [0, 100], got {bad[0]}")
         n = self.n
         rows = self.rows
-        if rows == 0:
-            return np.zeros(ts.shape, dtype=np.float64)
         split = np.round(rows * ts / 100.0).astype(np.int64)
         flops_per_row = 2.0 * n * n
         cpu = self.machine.cpu
@@ -101,16 +108,19 @@ class DenseMmProblem:
             / effective_rate_per_ms(gpu, PROFILE_DENSE_MM)
             + gpu.kernel_launch_us * 1e-3
         )
-        longest = np.maximum(
-            np.where(split > 0, cpu_ms, 0.0), np.where(split < rows, gpu_ms, 0.0)
-        )
         d2h = self.machine.link_for(1).transfer_ms_many(
             (rows - split) * n * _BYTES_PER_ELEMENT
         )
-        return longest + np.where(split < rows, d2h, 0.0)
-
-    def timeline(self, threshold: float) -> Timeline:
-        return self._pipeline(threshold)
+        return PricedSchedule(
+            ts.shape,
+            [
+                [
+                    ("cpu", "gemm-cpu", np.where(split > 0, cpu_ms, 0.0), rows > 0),
+                    ("gpu", "gemm-gpu", np.where(split < rows, gpu_ms, 0.0), rows > 0),
+                ],
+                [("pcie", "d2h-result", d2h, split < rows)],
+            ],
+        )
 
     def threshold_grid(self) -> np.ndarray:
         return np.arange(0.0, 101.0)
@@ -140,40 +150,10 @@ class DenseMmProblem:
     def gpu_only_threshold(self) -> float:
         return 0.0
 
-    # -- analytic pricing ---------------------------------------------------------------
-
     def _split_row(self, threshold: float) -> int:
         if not 0.0 <= threshold <= 100.0:
             raise ValidationError(f"threshold must be in [0, 100], got {threshold}")
         return int(round(self.rows * threshold / 100.0))
-
-    def _pipeline(self, threshold: float) -> Timeline:
-        split = self._split_row(threshold)
-        n = self.n
-        rows = self.rows
-        tl = Timeline()
-        if rows == 0:
-            return tl
-        # Operands are dual-resident (see the spmm module); only the GPU's
-        # slab of C returns over PCIe.
-        flops_per_row = 2.0 * n * n
-        cpu_ms = (
-            dense_mm_time(split * flops_per_row, self.machine.cpu, PROFILE_DENSE_MM)
-            if split > 0
-            else 0.0
-        )
-        gpu_ms = (
-            dense_mm_time(
-                (rows - split) * flops_per_row, self.machine.devices[1], PROFILE_DENSE_MM
-            )
-            if split < rows
-            else 0.0
-        )
-        tl.overlap([("cpu", "gemm-cpu", cpu_ms), ("gpu", "gemm-gpu", gpu_ms)])
-        if split < rows:
-            d2h = (rows - split) * n * _BYTES_PER_ELEMENT  # C2 back
-            tl.run("pcie", "d2h-result", self.machine.link_for(1).transfer_ms(d2h))
-        return tl
 
     # -- rounds (repro.hetero.dynamic_rebalance) ---------------------------------------------
 
@@ -207,5 +187,5 @@ class DenseMmProblem:
             threshold=float(threshold),
             split_row=split,
             product=product,
-            timeline=self._pipeline(threshold),
+            timeline=self.timeline(threshold),
         )

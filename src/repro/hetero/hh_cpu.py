@@ -40,10 +40,9 @@ from repro.platform.costmodel import (
     PROFILE_SPGEMM,
     KernelProfile,
     effective_rate_per_ms,
-    gpu_iterative_time,
 )
 from repro.platform.cluster import ClusterSpec, require_two_devices
-from repro.platform.timeline import Timeline
+from repro.platform.timeline import PricedSchedule, Timeline
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import add, mask_rows
 from repro.sparse.sampling import sample_rows_remap
@@ -102,8 +101,9 @@ class HhCpuProblem:
         for identify instances, in which case *b_density* supplies the
         column-space densities of the full ``B``.
     b_density:
-        Row-nnz vector of ``B`` (length ``a.n_cols``).  ``None`` means
-        ``B = A`` (requires square ``a``).
+        Row-nnz vector of ``B`` (length ``a.n_cols``; the counts ``A``'s
+        nonzeros reference must be integers in ``[0, a.n_cols]``).
+        ``None`` means ``B = A`` (requires square ``a``).
     compression:
         Output-size ratio override; samples inherit their parent's.
     """
@@ -162,6 +162,14 @@ class HhCpuProblem:
             self._d_cols = self._d_rows
             self._is_row_sample = False
         self._contrib = self._d_cols[a.indices]  # per-nonzero multiply volume
+        if b_density is not None and not np.all(
+            (self._contrib >= 0.0)
+            & (self._contrib <= a.n_cols)
+            & (self._contrib == np.floor(self._contrib))
+        ):
+            raise ValidationError(
+                f"b_density must hold row nonzero counts in [0, {a.n_cols}]"
+            )
         self._rows_expanded = np.repeat(
             np.arange(a.n_rows, dtype=_INDEX), a.row_nnz()
         )
@@ -173,191 +181,176 @@ class HhCpuProblem:
             self._compression = float(compression)
         else:
             self._compression = estimate_compression(a, a)
-        # Density-sorted batch-pricing tables, built lazily on the first
-        # evaluate_many call (scalar-only users never pay for them).
-        self._batch_cache: dict | None = None
-
-    # -- work split at a density threshold -----------------------------------------
-
-    def _split(self, threshold: float) -> dict:
-        """Per-phase work arrays for density cutoff *threshold*."""
-        if threshold < 0:
-            raise ValidationError(f"density threshold must be >= 0, got {threshold}")
-        high_rows = self._d_rows > threshold
-        # Per-row multiply volume against high-density B rows only.
-        high_cols = self._contrib * (self._contrib > threshold)
-        w_high = np.zeros(self._d_rows.size, dtype=np.float64)
-        np.add.at(w_high, self._rows_expanded, high_cols)
-        w_low = self._row_mults - w_high
-        return {
-            "high_rows": high_rows,
-            # Phase II: A_H x B_H on CPU, A_L x B_L on GPU.
-            "cpu2": 2.0 * w_high[high_rows],
-            "gpu2": 2.0 * w_low[~high_rows],
-            # Phase III: A_H x B_L on CPU, A_L x B_H on GPU.
-            "cpu3": 2.0 * w_low[high_rows],
-            "gpu3": 2.0 * w_high[~high_rows],
-            # Representation multipliers aligned with the two row subsets.
-            "rep_high": self._rep[high_rows],
-            "rep_low": self._rep[~high_rows],
-        }
+        # Integer contributions (bucket lookup keys), built on the first
+        # pricing call (an instance that is only run or sampled never pays).
+        self._levels: np.ndarray | None = None
+        self._level_values: np.ndarray | None = None
 
     # -- PartitionProblem protocol -----------------------------------------------------
 
     def evaluate_ms(self, threshold: float) -> float:
-        return self._pipeline(threshold).total_ms
-
-    def _batch_tables(self) -> dict:
-        """Density-sorted row tables shared by every evaluate_many call."""
-        if self._batch_cache is None:
-            order = np.argsort(self._d_rows, kind="stable")
-            rank = np.empty(order.size, dtype=_INDEX)
-            rank[order] = np.arange(order.size, dtype=_INDEX)
-            self._batch_cache = {
-                "d_sorted": self._d_rows[order],
-                "rep_sorted": self._rep[order],
-                "mults_sorted": self._row_mults[order],
-                "rank_expanded": rank[self._rows_expanded],
-            }
-        return self._batch_cache
+        return float(self.evaluate_many(np.array([threshold]))[0])
 
     def evaluate_many(self, thresholds: np.ndarray) -> np.ndarray:
-        """Batched :meth:`evaluate_ms` over an array of density cutoffs.
+        """Makespans over an array of density cutoffs (any shape)."""
+        return self._schedule(thresholds).makespans()
 
-        One bincount over the nonzeros per threshold chunk buckets each
-        per-nonzero multiply volume by the cutoffs it exceeds; a suffix sum
-        over the buckets yields every row's high-density work ``w_high(r, t)``
-        for all cutoffs at once.  With rows ordered by density the high/low
-        row subsets at any cutoff are a suffix/prefix of that order, so each
-        aggregate the scalar pipeline needs (represented totals, true-work
-        maxima, warp-padded totals) is a prefix/suffix table gathered at the
-        cutoff's row boundary.  Chunking bounds the dense (rows x cutoffs)
-        intermediates.
+    def timeline(self, threshold: float) -> Timeline:
+        return self._schedule(np.array([threshold])).timeline()
+
+    def _schedule(self, thresholds: np.ndarray) -> PricedSchedule:
+        """All four phases at every density cutoff: the one pricer.
+
+        Phase I classifies rows (one density scan) on the CPU.  Operands
+        are dual-resident, as in the other case studies; only the GPU's
+        partial results cross PCIe.  Phases II and III each overlap CPU
+        and GPU; the GPU partials then ship back and both devices combine.
+        Cutoffs are priced in ascending chunks (:meth:`_phase_columns`)
+        and the columns scattered back to the input order.
         """
         ts = np.asarray(thresholds, dtype=np.float64)
-        if ts.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        if float(ts.min()) < 0.0:
-            raise ValidationError("density thresholds must be >= 0")
+        bad = ts[ts < 0.0]
+        if bad.size:
+            raise ValidationError(f"density threshold must be >= 0, got {bad[0]}")
         n = self.a.n_rows
-        if n == 0:
-            return np.zeros(ts.shape, dtype=np.float64)
-        tb = self._batch_tables()
-        flat = ts.ravel()
-        ts_order = np.argsort(flat, kind="stable")
-        sorted_ts = flat[ts_order]
-        out_sorted = np.empty(sorted_ts.size, dtype=np.float64)
-        chunk = max(1, int(1_500_000 // (n + 1)))
-        for lo in range(0, sorted_ts.size, chunk):
-            tc = sorted_ts[lo : lo + chunk]
-            out_sorted[lo : lo + tc.size] = self._evaluate_chunk(tc, tb)
-        out = np.empty(flat.size, dtype=np.float64)
-        out[ts_order] = out_sorted
-        return out.reshape(ts.shape)
+        cpu = self.machine.cpu
+        cols = np.zeros((7, ts.size), dtype=np.float64)
+        if n and ts.size:
+            flat = ts.ravel()
+            ts_order = np.argsort(flat, kind="stable")
+            sorted_ts = flat[ts_order]
+            chunk = max(1, int(1_500_000 // (n + 1)))
+            for lo in range(0, sorted_ts.size, chunk):
+                cols[:, ts_order[lo : lo + chunk]] = self._phase_columns(
+                    sorted_ts[lo : lo + chunk]
+                )
+        cpu2, gpu2, cpu3, gpu3, d2h, combine_cpu, combine_gpu = cols.reshape(
+            (7, *ts.shape)
+        )
+        phase1 = (
+            self.work_scale * float(n) / effective_rate_per_ms(cpu, PROFILE_ROW_GATHER)
+            + cpu.kernel_launch_us * 1e-3
+        )
+        ran = n > 0
+        return PricedSchedule(
+            ts.shape,
+            [
+                [("cpu", "phase1/classify-rows", phase1, ran)],
+                [
+                    ("cpu", "phase2/AH-x-BH", cpu2, ran),
+                    ("gpu", "phase2/AL-x-BL", gpu2, ran),
+                ],
+                [
+                    ("cpu", "phase3/AH-x-BL", cpu3, ran),
+                    ("gpu", "phase3/AL-x-BH", gpu3, ran),
+                ],
+                [("pcie", "phase4/d2h-partials", d2h, ran)],
+                [
+                    ("cpu", "phase4/combine-cpu", combine_cpu, ran),
+                    ("gpu", "phase4/combine-gpu", combine_gpu, ran),
+                ],
+            ],
+        )
 
-    def _evaluate_chunk(self, tc: np.ndarray, tb: dict) -> np.ndarray:
-        """Price one ascending-sorted chunk of density cutoffs."""
+    def _phase_columns(self, tc: np.ndarray) -> np.ndarray:
+        """Per-phase durations for one ascending-sorted chunk of cutoffs.
+
+        Rows: Phase II CPU and GPU, Phase III CPU and GPU, the partials'
+        transfer, and the CPU and GPU combines.
+
+        One bincount over the nonzeros buckets each per-nonzero multiply
+        volume by the cutoffs it exceeds (a lookup by its integer
+        contribution); a suffix sum over the buckets yields every row's
+        high-density work ``w_high(j, r)`` for all cutoffs at once.  Rows
+        denser than cutoff ``j`` are the CPU's, the rest the GPU's; each
+        side's aggregates are row reductions over ``(g, n)`` tables that
+        hold its own rows' work.
+
+        CPU sides are work-balanced chunks with per-row atomicity (one
+        monster row bounds the heaviest thread — the reason very heavy
+        rows belong on the CPU only up to a point); GPU sides are
+        row-per-warp.  Totals are represented work (each sampled row
+        weighted by its representation multiplier); atomicity floors and
+        stragglers stay at true row magnitude.  A side with no work costs
+        nothing.
+        """
         n = self.a.n_rows
         g = tc.size
         cpu = self.machine.cpu
         gpu = self.machine.devices[1]
+        if self._levels is None:
+            self._levels = self._contrib.astype(_INDEX)
+            top = int(self._levels.max()) if self._levels.size else 0
+            self._level_values = np.arange(top + 1, dtype=np.float64)
         # Bucket b of a nonzero = number of cutoffs strictly below its
-        # contribution, so it counts as "high" work exactly for cutoff
-        # columns j < b; w_high(r, j) is the suffix bucket sum over b > j.
-        pe = np.searchsorted(tc, self._contrib, side="left")
+        # contribution, so it counts as "high" work exactly for cutoffs
+        # j < b; w_high(j, r) is the suffix bucket sum over b > j.
+        bucket_of = np.searchsorted(tc, self._level_values, side="left") * n
+        key = np.take(bucket_of, self._levels)
+        key += self._rows_expanded
         # bincount over an empty input yields int64 zeros even with float
         # weights; all-zero-rows blocks must still price as floats.
         buckets = np.bincount(
-            tb["rank_expanded"] * (g + 1) + pe,
-            weights=self._contrib,
-            minlength=n * (g + 1),
-        ).astype(np.float64, copy=False).reshape(n, g + 1)
-        w_high = buckets[:, ::-1].cumsum(axis=1)[:, ::-1][:, 1:]
+            key, weights=self._contrib, minlength=(g + 1) * n
+        ).astype(np.float64, copy=False).reshape(g + 1, n)
+        del key
+        # Four side tables, filled in place to bound memory: the CPU's rows
+        # (denser than the cutoff) with their A_H x B_H and A_H x B_L work,
+        # the GPU's rows with A_L x B_L and A_L x B_H; zeros elsewhere, so
+        # every aggregate is a plain row reduction.
+        sides = np.empty((4, g, n), dtype=np.float64)
+        scratch = np.empty((g, n), dtype=np.float64)
+        w_low, w_high = sides[2], sides[3]
+        w_high[g - 1] = buckets[g]
+        for j in range(g - 2, -1, -1):
+            np.add(w_high[j + 1], buckets[j + 1], out=w_high[j])
         del buckets
-        w_low = tb["mults_sorted"][:, None] - w_high
-        w_high *= 2.0  # the scalar split prices 2 * w_* per phase
-        w_low *= 2.0
-        rep_col = tb["rep_sorted"][:, None]
+        np.subtract(self._row_mults, w_high, out=w_low)
+        sides[2:] *= 2.0  # each phase prices 2 * w_* flops
+        np.greater(self._d_rows, tc[:, None], out=scratch)  # 1.0 on CPU rows
+        np.multiply(w_high, scratch, out=sides[0])
+        np.multiply(w_low, scratch, out=sides[1])
+        sides[2] -= sides[1]
+        sides[3] -= sides[0]
+        # A side's heaviest row: its atomicity floor (CPU) or straggler
+        # (GPU); it is > 0 exactly when the side has work.
+        heaviest = sides.max(axis=2)
         quantum = gpu.warp_size * gpu.flops_per_cycle
-
-        def pref(x: np.ndarray) -> np.ndarray:
-            out = np.empty((n + 1, g), dtype=np.float64)
-            out[0] = 0.0
-            np.cumsum(x, axis=0, out=out[1:])
-            return out
-
-        def prefmax(x: np.ndarray) -> np.ndarray:
-            out = np.zeros((n + 1, g), dtype=np.float64)
-            np.maximum.accumulate(x, axis=0, out=out[1:])
-            return out
-
-        def sufmax(x: np.ndarray) -> np.ndarray:
-            out = np.zeros((n + 1, g), dtype=np.float64)
-            out[:n] = np.maximum.accumulate(x[::-1], axis=0)[::-1]
-            return out
-
-        # Rows sorted by density: Low(t) is the prefix of rows with density
-        # <= t, High(t) the complementary suffix.
-        b = np.searchsorted(tb["d_sorted"], tc, side="right")
-        cols = np.arange(g)
-        p_high_rep = pref(w_high * rep_col)
-        p_low_rep = pref(w_low * rep_col)
-        p_pad_low_rep = pref(np.ceil(w_low / quantum) * quantum * rep_col)
-        p_pad_high_rep = pref(np.ceil(w_high / quantum) * quantum * rep_col)
-        smax_high = sufmax(w_high)[b, cols]
-        smax_low = sufmax(w_low)[b, cols]
-        pmax_high = prefmax(w_high)[b, cols]
-        pmax_low = prefmax(w_low)[b, cols]
-        del w_high, w_low
+        represented = np.empty((4, g), dtype=np.float64)
+        padded = np.empty((2, g), dtype=np.float64)
+        for i in range(4):
+            np.multiply(sides[i], self._rep, out=scratch)
+            represented[i] = scratch.sum(axis=1)
+        for i in range(2):
+            np.divide(sides[2 + i], quantum, out=scratch)
+            np.ceil(scratch, out=scratch)
+            scratch *= quantum
+            scratch *= self._rep
+            padded[i] = scratch.sum(axis=1)
 
         rate_c = effective_rate_per_ms(cpu, self.profile)
         rate_g = effective_rate_per_ms(gpu, self.profile)
         threads = cpu.threads
         warp_rate = rate_g * gpu.warp_size / gpu.cores
-        cpu_launch = cpu.kernel_launch_us * 1e-3
-        gpu_launch = gpu.kernel_launch_us * 1e-3
-
-        def cpu_chunked(total: np.ndarray, atom: np.ndarray) -> np.ndarray:
-            # atom > 0 exactly when the scalar path's work.sum() is nonzero
-            # (nonnegative work), reproducing its early-out bit for bit.
-            ms = np.maximum(total / threads, atom) / (rate_c / threads) + cpu_launch
-            return np.where(atom > 0.0, ms, 0.0)
-
-        def gpu_warp(padded: np.ndarray, strag: np.ndarray) -> np.ndarray:
-            ms = np.maximum(padded / rate_g, strag / warp_rate) + gpu_launch
-            return np.where(strag > 0.0, ms, 0.0)
-
-        total2c = p_high_rep[n] - p_high_rep[b, cols]  # A_H x B_H, represented
-        total3c = p_low_rep[n] - p_low_rep[b, cols]  # A_H x B_L, represented
-        phase2 = np.maximum(
-            cpu_chunked(total2c, smax_high),
-            gpu_warp(p_pad_low_rep[b, cols], pmax_low),
-        )
-        phase3 = np.maximum(
-            cpu_chunked(total3c, smax_low),
-            gpu_warp(p_pad_high_rep[b, cols], pmax_high),
-        )
-        gpu_mults = (p_low_rep[b, cols] + p_high_rep[b, cols]) / 2.0
+        # Phase II and III on each device: chunked CPU, row-per-warp GPU.
+        atom, strag = heaviest[:2], heaviest[2:]
+        cpu_ms = np.maximum(represented[:2] / threads, atom) / (rate_c / threads)
+        cpu_ms = np.where(atom > 0.0, cpu_ms + cpu.kernel_launch_us * 1e-3, 0.0)
+        gpu_ms = np.maximum(padded / rate_g, strag / warp_rate)
+        gpu_ms = np.where(strag > 0.0, gpu_ms + gpu.kernel_launch_us * 1e-3, 0.0)
+        # Phase IV: ship the GPU partials back, combine on both devices.
+        gpu_mults = (represented[2] + represented[3]) / 2.0
+        cpu_mults = (represented[0] + represented[1]) / 2.0
         d2h = self.machine.link_for(1).transfer_ms_many(
             gpu_mults * self._compression * _BYTES_PER_NNZ
         )
-        cpu_mults = (total2c + total3c) / 2.0
-        combine_cpu = (
-            COMBINE_FACTOR * cpu_mults / effective_rate_per_ms(cpu, PROFILE_COMBINE)
+        combine_cpu = COMBINE_FACTOR * cpu_mults / effective_rate_per_ms(cpu, PROFILE_COMBINE)
+        combine_gpu = gpu.kernel_launch_us * 1e-3 + (
+            COMBINE_FACTOR * gpu_mults
+        ) / effective_rate_per_ms(gpu, PROFILE_COMBINE)
+        return np.array(
+            [cpu_ms[0], gpu_ms[0], cpu_ms[1], gpu_ms[1], d2h, combine_cpu, combine_gpu]
         )
-        combine_gpu = gpu_launch + (COMBINE_FACTOR * gpu_mults) / effective_rate_per_ms(
-            gpu, PROFILE_COMBINE
-        )
-        phase1 = (
-            self.work_scale * float(n) / effective_rate_per_ms(cpu, PROFILE_ROW_GATHER)
-            + cpu_launch
-        )
-        return (
-            ((phase1 + phase2) + phase3) + d2h
-        ) + np.maximum(combine_cpu, combine_gpu)
-
-    def timeline(self, threshold: float) -> Timeline:
-        return self._pipeline(threshold)
 
     def threshold_grid(self) -> np.ndarray:
         """Distinct row densities (quantile-thinned to <= 101 points).
@@ -560,101 +553,6 @@ class HhCpuProblem:
             "sample_dimension": min(sample_size, self.a.n_rows),
         }
 
-    # -- analytic pricing -----------------------------------------------------------------
-
-    def _cpu_chunked(self, work: np.ndarray, rep: np.ndarray) -> float:
-        """CPU time for a set of row works: work-balanced chunks with
-        per-row atomicity (one monster row bounds the heaviest thread — the
-        reason very heavy rows belong on the CPU only up to a point).
-
-        Totals are represented work (each sampled row weighted by its
-        representation multiplier); the atomicity floor stays at true row
-        magnitude.
-        """
-        if work.size == 0 or float(work.sum()) == 0.0:
-            return 0.0
-        rate = effective_rate_per_ms(self.machine.cpu, self.profile)
-        total = float((work * rep).sum())
-        threads = self.machine.cpu.threads
-        heaviest = max(total / threads, float(work.max()))
-        return heaviest / (rate / threads) + self.machine.cpu.kernel_launch_us * 1e-3
-
-    def _gpu_warp(self, work: np.ndarray, rep: np.ndarray) -> float:
-        """GPU row-per-warp time: represented throughput, true straggler."""
-        if work.size == 0 or float(work.sum()) == 0.0:
-            return 0.0
-        gpu = self.machine.devices[1]
-        quantum = gpu.warp_size * gpu.flops_per_cycle
-        padded = np.ceil(work / quantum) * quantum
-        rate = effective_rate_per_ms(gpu, self.profile)
-        throughput = float((padded * rep).sum()) / rate
-        warp_rate = rate * gpu.warp_size / gpu.cores
-        straggler = float(work.max()) / warp_rate
-        return max(throughput, straggler) + gpu.kernel_launch_us * 1e-3
-
-    def _pipeline(self, threshold: float) -> Timeline:
-        s = self._split(threshold)
-        tl = Timeline()
-        n = self.a.n_rows
-        if n == 0:
-            return tl
-        # Phase I: classify rows (one density scan) on the CPU.  Operands
-        # are dual-resident, as in the other case studies; only the GPU's
-        # partial results cross PCIe.
-        tl.run(
-            "cpu",
-            "phase1/classify-rows",
-            self.work_scale
-            * float(n)
-            / effective_rate_per_ms(self.machine.cpu, PROFILE_ROW_GATHER)
-            + self.machine.cpu.kernel_launch_us * 1e-3,
-        )
-        # Phase II and Phase III, each overlapped CPU || GPU; one batched
-        # append covers both fork-join groups.
-        tl.overlap_many(
-            [
-                [
-                    ("cpu", "phase2/AH-x-BH", self._cpu_chunked(s["cpu2"], s["rep_high"])),
-                    ("gpu", "phase2/AL-x-BL", self._gpu_warp(s["gpu2"], s["rep_low"])),
-                ],
-                [
-                    ("cpu", "phase3/AH-x-BL", self._cpu_chunked(s["cpu3"], s["rep_high"])),
-                    ("gpu", "phase3/AL-x-BH", self._gpu_warp(s["gpu3"], s["rep_low"])),
-                ],
-            ]
-        )
-        # Ship the GPU partials back, then combine on both devices.
-        gpu_mults = (
-            float((s["gpu2"] * s["rep_low"]).sum() + (s["gpu3"] * s["rep_low"]).sum())
-            / 2.0
-        )
-        tl.run(
-            "pcie",
-            "phase4/d2h-partials",
-            self.machine.link_for(1).transfer_ms(
-                gpu_mults * self._compression * _BYTES_PER_NNZ
-            ),
-        )
-        cpu_mults = (
-            float((s["cpu2"] * s["rep_high"]).sum() + (s["cpu3"] * s["rep_high"]).sum())
-            / 2.0
-        )
-        combine_cpu = (
-            COMBINE_FACTOR
-            * cpu_mults
-            / effective_rate_per_ms(self.machine.cpu, PROFILE_COMBINE)
-        )
-        combine_gpu = gpu_iterative_time(
-            COMBINE_FACTOR * gpu_mults, 1, self.machine.devices[1], PROFILE_COMBINE
-        )
-        tl.overlap(
-            [
-                ("cpu", "phase4/combine-cpu", combine_cpu),
-                ("gpu", "phase4/combine-gpu", combine_gpu),
-            ]
-        )
-        return tl
-
     # -- real execution -----------------------------------------------------------------------
 
     def run(self, threshold: float) -> HhCpuRunResult:
@@ -673,5 +571,5 @@ class HhCpuProblem:
             threshold=float(threshold),
             n_high_rows=int(high.sum()),
             product=c,
-            timeline=self._pipeline(threshold),
+            timeline=self.timeline(threshold),
         )

@@ -35,12 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.graphs.shiloach_vishkin import (
-    SvResult,
-    modeled_sv_iterations,
-    shiloach_vishkin,
-    sv_on_edges,
-)
+from repro.graphs.shiloach_vishkin import SvResult, shiloach_vishkin, sv_on_edges
 from repro.hetero.cc import (
     MERGE_EFFECTIVE_PASSES,
     SV_EFFECTIVE_PASSES,
@@ -53,7 +48,7 @@ from repro.platform.costmodel import (
     PROFILE_MERGE,
     effective_rate_per_ms,
 )
-from repro.platform.timeline import Timeline
+from repro.platform.timeline import PricedSchedule, Timeline
 from repro.util.errors import ValidationError
 from repro.util.rng import RngLike, as_generator
 
@@ -76,6 +71,11 @@ _BYTES_PER_VERTEX = 8
 
 #: Number of percent grid points (0..100 inclusive).
 _GRID = 101
+
+
+def _as_scalar(out: np.ndarray):
+    """A 0-d result as a Python int; arrays pass through."""
+    return int(out) if np.ndim(out) == 0 else out
 
 
 class RangeCutProfile:
@@ -107,50 +107,39 @@ class RangeCutProfile:
             ([0], np.maximum.accumulate(degrees) if graph.n else [])
         ).astype(_INDEX)
 
-    def cut_index(self, percent: int) -> int:
-        return int(self._cuts[percent])
+    def cut_index(self, percent):
+        """First vertex at or above *percent* (an int or an int array)."""
+        return _as_scalar(self._cuts[np.asarray(percent, dtype=_INDEX)])
 
-    def within(self, a: int, b: int) -> int:
-        """Edges with both endpoints in percent range [a, b)."""
-        if not 0 <= a <= b <= 100:
-            raise ValidationError(f"bad percent range [{a}, {b})")
-        if a == b:
-            return 0
-        # Buckets a..b-1 inclusive on both axes.
-        lo, hi = a, b - 1
-        total = self._cum[hi, hi]
-        left = self._cum[lo - 1, hi] if lo else 0
-        top = self._cum[hi, lo - 1] if lo else 0
-        corner = self._cum[lo - 1, lo - 1] if lo else 0
-        return int(total - left - top + corner)
+    def within(self, a, b):
+        """Edges with both endpoints in percent range ``[a, b)``.
 
-    def within_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`within` over aligned percent-range arrays.
-
-        Callers guarantee ``0 <= a <= b <= 100`` elementwise (the threshold
-        vectors were validated already); empty ranges yield 0.
+        Takes two ints or two aligned int arrays; empty ranges yield 0.
         """
         a = np.asarray(a, dtype=_INDEX)
         b = np.asarray(b, dtype=_INDEX)
+        if a.size and not (np.all(0 <= a) and np.all(a <= b) and np.all(b <= 100)):
+            raise ValidationError(f"bad percent range [{a}, {b})")
+        # Buckets a..b-1 inclusive on both axes.  Negative indices from
+        # empty/leftmost ranges wrap harmlessly: the masks discard them.
         lo = a
         hi = b - 1
-        # Negative indices from empty/leftmost ranges wrap harmlessly: the
-        # np.where masks discard those lanes.
         total = self._cum[hi, hi]
         left = np.where(lo > 0, self._cum[lo - 1, hi], 0)
         top = np.where(lo > 0, self._cum[hi, lo - 1], 0)
         corner = np.where(lo > 0, self._cum[lo - 1, lo - 1], 0)
-        return np.where(a == b, 0, total - left - top + corner)
+        return _as_scalar(np.where(a == b, 0, total - left - top + corner))
 
-    def degree_sum(self, a: int, b: int) -> int:
-        """Adjacency volume of percent range [a, b)."""
-        return int(
+    def degree_sum(self, a, b):
+        """Adjacency volume of percent range ``[a, b)`` (ints or int arrays)."""
+        return _as_scalar(
             self._degree_prefix[self.cut_index(b)]
             - self._degree_prefix[self.cut_index(a)]
         )
 
-    def max_degree_below(self, percent: int) -> int:
-        return int(self._degree_prefix_max[self.cut_index(percent)])
+    def max_degree_below(self, percent):
+        """Largest degree below *percent* (an int or an int array)."""
+        return _as_scalar(self._degree_prefix_max[self.cut_index(percent)])
 
     @property
     def m(self) -> int:
@@ -241,99 +230,30 @@ class MultiwayCcProblem:
         bounds = [0, *cuts, 100]
         return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 
-    # -- pricing --------------------------------------------------------------------
-
-    def _range_vertices(self, a: int, b: int) -> int:
-        return self._profile.cut_index(b) - self._profile.cut_index(a)
-
-    def _range_work(self, a: int, b: int) -> float:
-        if self._rep_prefix is not None:
-            lo = self._profile.cut_index(a)
-            hi = self._profile.cut_index(b)
-            return float(self._rep_prefix[hi] - self._rep_prefix[lo])
-        return self.work_scale * float(
-            self._range_vertices(a, b) + self._profile.degree_sum(a, b)
-        )
-
-    def _cpu_ms(self, a: int, b: int) -> float:
-        work = self._range_work(a, b)
-        if work == 0:
-            return 0.0
-        cpu = self.cluster.devices[0]
-        rate = effective_rate_per_ms(cpu, PROFILE_CC)
-        threads = cpu.threads
-        if self._atom_prefix_max is not None:
-            atom = float(self._atom_prefix_max[self._profile.cut_index(b)])
-        else:
-            atom = 1.0 + self._profile.max_degree_below(b)
-        heaviest = max(work / threads, atom)
-        return heaviest / (rate / threads) + cpu.kernel_launch_us * 1e-3
-
-    def _gpu_ms(self, device: int, a: int, b: int) -> float:
-        """SV time for range [a, b) on accelerator *device* (0-based)."""
-        work = self._range_work(a, b)
-        if work == 0:
-            return 0.0
-        gpu = self.cluster.devices[device + 1]
-        n_range = max(self._range_vertices(a, b), 2)
-        rate = effective_rate_per_ms(gpu, PROFILE_CC)
-        sweep = SV_EFFECTIVE_PASSES * work / rate
-        launches = modeled_sv_iterations(n_range) * gpu.kernel_launch_us * 1e-3
-        return sweep + launches
-
-    def _pipeline(self, thresholds: Sequence[float]) -> Timeline:
-        ranges = self._ranges(thresholds)
-        tl = Timeline()
-        if self.graph.n == 0:
-            return tl
-        tasks = []
-        cpu_range = ranges[0]
-        if self._range_vertices(*cpu_range) > 0:
-            tasks.append(("cpu", "phase2/cc-cpu-dfs", self._cpu_ms(*cpu_range)))
-        for i, rng in enumerate(ranges[1:]):
-            if self._range_vertices(*rng) > 0:
-                tasks.append(
-                    (f"gpu{i}", f"phase2/cc-gpu{i}-sv", self._gpu_ms(i, *rng))
-                )
-        tl.overlap(tasks)
-        # Merge on the fastest accelerator over every cross-range edge;
-        # non-resident labels ship over that device's link first.
-        within = sum(self._profile.within(a, b) for a, b in ranges)
-        cross = self._profile.m - within
-        active = sum(1 for r in ranges if self._range_vertices(*r) > 0)
-        if active > 1:
-            mi = self.cluster.merge_device_index()
-            merge_dev = self.cluster.devices[mi]
-            foreign_vertices = self.graph.n - self._range_vertices(*ranges[mi])
-            tl.run(
-                self.cluster.interconnect.resource_for(mi),
-                "phase2/h2d-labels",
-                self.cluster.link_for(mi).transfer_ms(
-                    foreign_vertices * _BYTES_PER_VERTEX
-                ),
-            )
-            merge_rate = effective_rate_per_ms(merge_dev, PROFILE_MERGE)
-            merge_ms = (
-                MERGE_EFFECTIVE_PASSES * (2.0 * cross + 1.0) / merge_rate
-                + modeled_merge_iterations(cross)
-                * merge_dev.kernel_launch_us
-                * 1e-3
-            )
-            tl.run(f"gpu{mi - 1}", "phase2/merge-cross-edges", merge_ms)
-        return tl
-
     # -- vector-threshold problem interface --------------------------------------------
 
     def evaluate_ms(self, thresholds: Sequence[float]) -> float:
-        return self._pipeline(thresholds).total_ms
+        return float(self.evaluate_many(np.array([thresholds], dtype=np.float64))[0])
 
     def evaluate_many(self, threshold_vectors: np.ndarray) -> np.ndarray:
-        """Batched :meth:`evaluate_ms` over rows of threshold vectors.
+        """Makespans over rows of threshold vectors.
 
         *threshold_vectors* has shape ``(batch, n_gpus)``; each row is one
-        non-decreasing percent vector.  Every range quantity the scalar
-        pipeline derives from :class:`RangeCutProfile` is a table gather, so
-        the whole batch prices in a handful of array operations.
+        non-decreasing percent vector.
+        """
+        return self._schedule(threshold_vectors).makespans()
+
+    def timeline(self, thresholds: Sequence[float]) -> Timeline:
+        return self._schedule(np.array([thresholds], dtype=np.float64)).timeline()
+
+    def _schedule(self, threshold_vectors: np.ndarray) -> PricedSchedule:
+        """Phase II at every threshold vector: the one pricer.
+
+        Every range quantity is a :class:`RangeCutProfile` gather, so the
+        whole batch prices in a handful of array operations.  All devices
+        with vertices run overlapped; when more than one did, the labels
+        not resident on the fastest accelerator ship over its link and it
+        merges over every cross-range edge.
         """
         vs = np.asarray(threshold_vectors, dtype=np.float64)
         if vs.ndim != 2 or vs.shape[1] != self.n_gpus:
@@ -342,15 +262,11 @@ class MultiwayCcProblem:
                 f"got {vs.shape}"
             )
         batch = vs.shape[0]
-        if batch == 0:
-            return np.zeros(0, dtype=np.float64)
         cuts = np.round(vs).astype(_INDEX)
-        if int(cuts.min()) < 0 or int(cuts.max()) > 100:
-            raise ValidationError("thresholds must be in [0, 100]")
+        if batch and (int(cuts.min()) < 0 or int(cuts.max()) > 100):
+            raise ValidationError(f"thresholds must be in [0, 100], got {vs}")
         if bool(np.any(np.diff(cuts, axis=1) < 0)):
-            raise ValidationError("thresholds must be non-decreasing")
-        if self.graph.n == 0:
-            return np.zeros(batch, dtype=np.float64)
+            raise ValidationError(f"thresholds must be non-decreasing, got {vs}")
         prof = self._profile
         bounds = np.concatenate(
             (
@@ -360,12 +276,12 @@ class MultiwayCcProblem:
             ),
             axis=1,
         )
-        idx = prof._cuts[bounds]  # vertex cut indices, (batch, n_gpus + 2)
+        idx = prof.cut_index(bounds)  # vertex cut indices, (batch, n_gpus + 2)
         nv = idx[:, 1:] - idx[:, :-1]  # vertices per range
         if self._rep_prefix is not None:
             work = self._rep_prefix[idx[:, 1:]] - self._rep_prefix[idx[:, :-1]]
         else:
-            deg = prof._degree_prefix[idx[:, 1:]] - prof._degree_prefix[idx[:, :-1]]
+            deg = prof.degree_sum(bounds[:, :-1], bounds[:, 1:])
             work = self.work_scale * (nv + deg).astype(np.float64)
         cpu = self.cluster.devices[0]
         rate_c = effective_rate_per_ms(cpu, PROFILE_CC)
@@ -373,16 +289,15 @@ class MultiwayCcProblem:
         if self._atom_prefix_max is not None:
             atom = self._atom_prefix_max[idx[:, 1]]
         else:
-            atom = 1.0 + prof._degree_prefix_max[idx[:, 1]].astype(np.float64)
+            atom = 1.0 + prof.max_degree_below(bounds[:, 1]).astype(np.float64)
         cpu_ms = (
             np.maximum(work[:, 0] / threads, atom) / (rate_c / threads)
             + cpu.kernel_launch_us * 1e-3
         )
-        # Ranges with vertices always carry work (work_scale > 0), so the
-        # scalar path's per-device zero-work early-outs reduce to nv masks.
-        n_range = np.maximum(nv[:, 1:], 2)
-        sv_iters = np.ceil(np.log2(n_range)).astype(_INDEX) + 1
-        longest = np.where(nv[:, 0] > 0, cpu_ms, 0.0)
+        # Ranges with vertices always carry work (work_scale > 0), so a
+        # device runs exactly when its range has vertices.
+        devices = [("cpu", "phase2/cc-cpu-dfs", cpu_ms, nv[:, 0] > 0)]
+        sv_iters = np.ceil(np.log2(np.maximum(nv[:, 1:], 2))).astype(_INDEX) + 1
         for i in range(self.n_gpus):
             gpu = self.cluster.devices[i + 1]
             rate_g = effective_rate_per_ms(gpu, PROFILE_CC)
@@ -390,31 +305,36 @@ class MultiwayCcProblem:
                 SV_EFFECTIVE_PASSES * work[:, i + 1] / rate_g
                 + sv_iters[:, i] * gpu.kernel_launch_us * 1e-3
             )
-            longest = np.maximum(
-                longest, np.where(nv[:, i + 1] > 0, gpu_ms, 0.0)
-            )
-        within = prof.within_many(bounds[:, :-1], bounds[:, 1:]).sum(axis=1)
+            devices.append((f"gpu{i}", f"phase2/cc-gpu{i}-sv", gpu_ms, nv[:, i + 1] > 0))
+        within = prof.within(bounds[:, :-1], bounds[:, 1:]).sum(axis=1)
         cross = prof.m - within
-        active = (nv > 0).sum(axis=1)
+        merge = (nv > 0).sum(axis=1) > 1
         mi = self.cluster.merge_device_index()
         merge_dev = self.cluster.devices[mi]
         foreign = self.graph.n - nv[:, mi]
         transfer = self.cluster.link_for(mi).transfer_ms_many(
             foreign * _BYTES_PER_VERTEX
         )
-        uniq, inverse = np.unique(cross, return_inverse=True)
-        merge_iters = np.array(
-            [modeled_merge_iterations(int(c)) for c in uniq], dtype=_INDEX
-        )[inverse].reshape(cross.shape)
         merge_rate = effective_rate_per_ms(merge_dev, PROFILE_MERGE)
         merge_ms = (
             MERGE_EFFECTIVE_PASSES * (2.0 * cross + 1.0) / merge_rate
-            + merge_iters * merge_dev.kernel_launch_us * 1e-3
+            + modeled_merge_iterations(cross) * merge_dev.kernel_launch_us * 1e-3
         )
-        return np.where(active > 1, (longest + transfer) + merge_ms, longest)
-
-    def timeline(self, thresholds: Sequence[float]) -> Timeline:
-        return self._pipeline(thresholds)
+        return PricedSchedule(
+            (batch,),
+            [
+                devices,
+                [
+                    (
+                        self.cluster.interconnect.resource_for(mi),
+                        "phase2/h2d-labels",
+                        transfer,
+                        merge,
+                    )
+                ],
+                [(f"gpu{mi - 1}", "phase2/merge-cross-edges", merge_ms, merge)],
+            ],
+        )
 
     def coordinate_grid(self) -> np.ndarray:
         return np.arange(0.0, 101.0)
@@ -521,7 +441,7 @@ class MultiwayCcProblem:
             labels=labels,
             n_components=int(np.unique(labels).size) if n else 0,
             merge_sv=merge_sv,
-            timeline=self._pipeline(thresholds),
+            timeline=self.timeline(thresholds),
         )
 
 

@@ -4,8 +4,8 @@ The work-share axis generalizes directly: a threshold vector
 ``(c_1, …, c_{p-1})`` of cumulative work-share percentages gives the CPU
 the rows carrying work ``[0, c_1)`` percent and accelerator ``i`` the rows
 carrying ``[c_i, c_{i+1})`` percent (the last one up to 100).  Pricing
-reuses the scalar problem's prefix machinery with each range priced on its
-own :class:`~repro.platform.device.DeviceSpec`; identify reuses the same
+reuses the two-device problem's row-range pricers with each range priced
+on its own :class:`~repro.platform.device.DeviceSpec`; identify reuses the same
 cyclic coordinate descent as :mod:`repro.hetero.multiway_cc`.
 
 Result slabs ship back over the cluster's interconnect: under the
@@ -23,10 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.hetero.multiway_cc import _require_gpu_cluster
-from repro.hetero.spmm import _BYTES_PER_NNZ, SpmmProblem
+from repro.hetero.spmm import SpmmProblem
 from repro.platform.cluster import ClusterSpec, Interconnect
-from repro.platform.costmodel import effective_rate_per_ms
-from repro.platform.timeline import Timeline
+from repro.platform.timeline import PricedSchedule, Timeline
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import vstack
 from repro.sparse.spgemm import spgemm
@@ -125,76 +124,32 @@ class MultiwaySpmmProblem:
         cuts = self._check_vector(thresholds)
         # The base problem's cached prefix tables make each cut O(log n)
         # instead of the O(n) rescan split_index_for_share would repeat.
-        return [self._base._split_index(c / 100.0) for c in cuts]
+        return [int(i) for i in self._base._split_index(np.array(cuts) / 100.0)]
 
     # -- pricing -------------------------------------------------------------------
 
-    def _gpu_range_ms(self, device: int, lo: int, hi: int) -> float:
-        """Accelerator *device* time for rows [lo, hi) (row-per-warp model)."""
-        if hi <= lo:
-            return 0.0
-        base = self._base
-        gpu = self.cluster.devices[device + 1]
-        padded = float(
-            base._rep_padded_prefix[hi] - base._rep_padded_prefix[lo]
-        )
-        rate = effective_rate_per_ms(gpu, base.profile)
-        throughput = padded / rate
-        warp_rate = rate * gpu.warp_size / gpu.cores
-        straggler = base.row_scale * float(base._flop_suffix_max[lo]) / warp_rate
-        return max(throughput, straggler) + gpu.kernel_launch_us * 1e-3
-
-    def _pipeline(self, thresholds: Sequence[float]) -> Timeline:
-        splits = self.split_rows(thresholds)
-        n = self.a.n_rows
-        bounds = [0, *splits, n]
-        tl = Timeline()
-        if n == 0:
-            return tl
-        tasks = []
-        cpu_rows = bounds[1]
-        if cpu_rows > 0:
-            tasks.append(("cpu", "phase2/spgemm-cpu", self._base._cpu_ms(cpu_rows)))
-        for i in range(self.n_gpus):
-            lo, hi = bounds[i + 1], bounds[i + 2]
-            ms = self._gpu_range_ms(i, lo, hi)
-            if ms > 0:
-                tasks.append((f"gpu{i}", f"phase2/spgemm-gpu{i}", ms))
-        tl.overlap(tasks)
-        # Result slabs ship back: serialized on one "pcie" resource under
-        # the shared topology, overlapped on per-device links otherwise.
-        base = self._base
-        ic = self.cluster.interconnect
-        transfers = []
-        for i in range(self.n_gpus):
-            lo, hi = bounds[i + 1], bounds[i + 2]
-            if hi <= lo:
-                continue
-            mults = (base._rep_flop_prefix[hi] - base._rep_flop_prefix[lo]) / 2.0
-            nbytes = mults * base._compression * _BYTES_PER_NNZ
-            transfers.append(
-                (
-                    ic.resource_for(i + 1),
-                    f"phase2/d2h-gpu{i}",
-                    self.cluster.link_for(i + 1).transfer_ms(nbytes),
-                )
-            )
-        if ic.topology == "shared":
-            # Serialized on the one shared link: one batched sequential append.
-            tl.run_many(transfers)
-        elif transfers:
-            tl.overlap(transfers)
-        return tl
-
     def evaluate_ms(self, thresholds: Sequence[float]) -> float:
-        return self._pipeline(thresholds).total_ms
+        return float(self.evaluate_many(np.array([thresholds], dtype=np.float64))[0])
 
     def evaluate_many(self, threshold_vectors: np.ndarray) -> np.ndarray:
-        """Batched :meth:`evaluate_ms` over rows of threshold vectors.
+        """Makespans over rows of threshold vectors.
 
-        Shape ``(batch, n_gpus)`` in, per-row makespans out.  All device
-        times and transfer sizes are gathers into the base problem's
-        pricing tables, so the batch prices without any per-row Python.
+        Shape ``(batch, n_gpus)`` in, per-row makespans out.
+        """
+        return self._schedule(threshold_vectors).makespans()
+
+    def timeline(self, thresholds: Sequence[float]) -> Timeline:
+        return self._schedule(np.array([thresholds], dtype=np.float64)).timeline()
+
+    def _schedule(self, threshold_vectors: np.ndarray) -> PricedSchedule:
+        """Phase II at every threshold vector: the one pricer.
+
+        Every device time and transfer size comes from the base problem's
+        row-range pricers, so the batch prices without any per-row Python.
+        The devices overlap (an accelerator with no work records no span);
+        result slabs then ship back, serialized on the one ``"pcie"``
+        resource under the shared topology and overlapped on per-device
+        links otherwise.
         """
         vs = np.asarray(threshold_vectors, dtype=np.float64)
         if vs.ndim != 2 or vs.shape[1] != self.n_gpus:
@@ -203,69 +158,35 @@ class MultiwaySpmmProblem:
                 f"got {vs.shape}"
             )
         batch = vs.shape[0]
-        if batch == 0:
-            return np.zeros(0, dtype=np.float64)
-        if vs.size and (float(vs.min()) < 0.0 or float(vs.max()) > 100.0):
-            raise ValidationError("thresholds must be in [0, 100]")
+        if not np.all((vs >= 0.0) & (vs <= 100.0)):
+            raise ValidationError(f"thresholds must be in [0, 100], got {vs}")
         if bool(np.any(np.diff(vs, axis=1) < 0)):
-            raise ValidationError("thresholds must be non-decreasing")
+            raise ValidationError(f"thresholds must be non-decreasing, got {vs}")
         n = self.a.n_rows
-        if n == 0:
-            return np.zeros(batch, dtype=np.float64)
         base = self._base
-        splits = base._split_many(vs / 100.0)
         bounds = np.concatenate(
             (
                 np.zeros((batch, 1), dtype=_INDEX),
-                splits,
+                base._split_index(vs / 100.0),
                 np.full((batch, 1), n, dtype=_INDEX),
             ),
             axis=1,
         )
-        cpu = self.cluster.devices[0]
-        rate_c = effective_rate_per_ms(cpu, base.profile)
-        threads = cpu.threads
-        cpu_rows = bounds[:, 1]
-        cpu_work = base._rep_flop_prefix[cpu_rows]
-        cpu_atom = base.row_scale * base._flop_prefix_max[cpu_rows]
-        cpu_ms = (
-            np.maximum(cpu_work / threads, cpu_atom) / (rate_c / threads)
-            + cpu.kernel_launch_us * 1e-3
-        )
-        longest = np.where(cpu_rows > 0, cpu_ms, 0.0)
-        for i in range(self.n_gpus):
-            gpu = self.cluster.devices[i + 1]
-            rate_g = effective_rate_per_ms(gpu, base.profile)
-            warp_rate = rate_g * gpu.warp_size / gpu.cores
-            lo, hi = bounds[:, i + 1], bounds[:, i + 2]
-            padded = base._rep_padded_prefix[hi] - base._rep_padded_prefix[lo]
-            straggler = base.row_scale * base._flop_suffix_max[lo] / warp_rate
-            gpu_ms = (
-                np.maximum(padded / rate_g, straggler)
-                + gpu.kernel_launch_us * 1e-3
-            )
-            longest = np.maximum(longest, np.where(hi > lo, gpu_ms, 0.0))
-        # Result slabs: the shared topology serializes transfers on one
-        # link (cursor adds); dedicated links overlap (max).
-        shared = self.cluster.interconnect.topology == "shared"
-        total = longest
-        slowest = np.zeros_like(longest)
+        cpu_ms = base._cpu_rows_ms(bounds[:, 1])
+        devices = [("cpu", "phase2/spgemm-cpu", cpu_ms, bounds[:, 1] > 0)]
+        transfers = []
+        ic = self.cluster.interconnect
         for i in range(self.n_gpus):
             lo, hi = bounds[:, i + 1], bounds[:, i + 2]
-            mults = (base._rep_flop_prefix[hi] - base._rep_flop_prefix[lo]) / 2.0
-            nbytes = mults * base._compression * _BYTES_PER_NNZ
-            d2h = self.cluster.link_for(i + 1).transfer_ms_many(nbytes)
-            masked = np.where(hi > lo, d2h, 0.0)
-            if shared:
-                total = total + masked
-            else:
-                slowest = np.maximum(slowest, masked)
-        if not shared:
-            total = total + slowest
-        return total
-
-    def timeline(self, thresholds: Sequence[float]) -> Timeline:
-        return self._pipeline(thresholds)
+            gpu_ms = base._gpu_rows_ms(lo, hi, self.cluster.devices[i + 1])
+            devices.append((f"gpu{i}", f"phase2/spgemm-gpu{i}", gpu_ms, gpu_ms > 0.0))
+            d2h = base._d2h_rows_ms(lo, hi, self.cluster.link_for(i + 1))
+            transfers.append((ic.resource_for(i + 1), f"phase2/d2h-gpu{i}", d2h, hi > lo))
+        if ic.topology == "shared":
+            groups = [devices, *([t] for t in transfers)]
+        else:
+            groups = [devices, transfers]
+        return PricedSchedule((batch,), groups)
 
     def coordinate_grid(self) -> np.ndarray:
         return np.arange(0.0, 101.0)
@@ -365,5 +286,5 @@ class MultiwaySpmmProblem:
             thresholds=tuple(float(t) for t in thresholds),
             split_rows=tuple(splits),
             product=product,
-            timeline=self._pipeline(thresholds),
+            timeline=self.timeline(thresholds),
         )

@@ -40,7 +40,7 @@ from repro.platform.costmodel import (
     dense_mm_time,
 )
 from repro.platform.timeline import Span, Timeline
-from repro.platform.machine import HeterogeneousMachine, paper_testbed
+from repro.platform.machine import paper_testbed
 from repro.platform.cluster import (
     ClusterSpec,
     Interconnect,
@@ -79,7 +79,6 @@ __all__ = [
     "dense_mm_time",
     "Span",
     "Timeline",
-    "HeterogeneousMachine",
     "paper_testbed",
     "Measurement",
     "ValidationReport",

@@ -342,32 +342,6 @@ class PricingTables:
             quantum=quantum,
         )
 
-    @property
-    def size(self) -> int:
-        return self.work.size
-
-    def prefix_work(self, ks: np.ndarray) -> np.ndarray:
-        """Represented work below each cut: ``sum(work[:k] * rep[:k])``."""
-        return self.rep_prefix[ks]
-
-    def suffix_work(self, ks: np.ndarray) -> np.ndarray:
-        """Represented work at or above each cut."""
-        return self.rep_prefix[self.size] - self.rep_prefix[ks]
-
-    def prefix_atom_max(self, ks: np.ndarray) -> np.ndarray:
-        """Heaviest single item below each cut (CPU chunk atom)."""
-        return self.prefix_max[ks]
-
-    def suffix_atom_max(self, ks: np.ndarray) -> np.ndarray:
-        """Heaviest single item at or above each cut (GPU straggler)."""
-        return self.suffix_max[ks]
-
-    def suffix_padded_work(self, ks: np.ndarray) -> np.ndarray:
-        """Represented warp-quantized work at or above each cut."""
-        if self.padded_prefix is None:
-            raise ValidationError("tables built without a warp quantum")
-        return self.padded_prefix[self.size] - self.padded_prefix[ks]
-
 
 def cpu_chunked_time_many(
     work_totals: np.ndarray,
@@ -377,11 +351,10 @@ def cpu_chunked_time_many(
 ) -> np.ndarray:
     """Vectorized analytic chunked-CPU pricing over cut aggregates.
 
-    Elementwise identical to the analytic form the problem evaluators use
-    for a single cut: the heaviest chunk is ``max(total / threads, atom)``
-    processed at one thread's rate, plus one parallel-region launch.  Both
-    inputs are per-threshold arrays (no masking — callers zero out cuts
-    their scalar path guards away).
+    The heaviest chunk is ``max(total / threads, atom)`` processed at one
+    thread's rate, plus one parallel-region launch.  Both inputs are
+    per-threshold arrays (no masking — callers zero out cuts that leave
+    the CPU no work).
     """
     threads = spec.threads
     rate = effective_rate_per_ms(spec, profile)
@@ -398,8 +371,8 @@ def gpu_row_per_warp_time_many(
     """Vectorized row-per-warp GPU pricing over cut aggregates.
 
     ``padded_totals`` is warp-quantized represented work per threshold
-    (from :meth:`PricingTables.suffix_padded_work`), ``stragglers`` the
-    heaviest single item per threshold.  Matches the scalar
+    (differences of :attr:`PricingTables.padded_prefix`), ``stragglers``
+    the heaviest single item per threshold.  Matches the scalar
     :func:`gpu_row_per_warp_time` arithmetic elementwise.
     """
     rate = effective_rate_per_ms(spec, profile)

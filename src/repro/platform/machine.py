@@ -8,17 +8,7 @@ builds the paper's instance of that shape.
 
 from __future__ import annotations
 
-import warnings
-
-from repro.platform.cluster import (
-    ClusterSpec,
-    Interconnect,
-    cluster_testbed,
-    require_two_devices,
-)
-from repro.platform.device import DeviceSpec
-from repro.platform.pcie import PcieLink
-from repro.util.errors import ReproDeprecationWarning
+from repro.platform.cluster import ClusterSpec, cluster_testbed
 
 
 def paper_testbed(time_scale: float = 1.0) -> ClusterSpec:
@@ -29,27 +19,3 @@ def paper_testbed(time_scale: float = 1.0) -> ClusterSpec:
     one-accelerator case.
     """
     return cluster_testbed(n_gpus=1, time_scale=time_scale)
-
-
-def HeterogeneousMachine(  # noqa: N802 - keeps the removed class's spelling
-    *, cpu: DeviceSpec, gpu: DeviceSpec, link: PcieLink
-) -> ClusterSpec:
-    """Deprecated: build the equivalent 2-device :class:`ClusterSpec`.
-
-    The ``HeterogeneousMachine`` class is gone; the scalar problems take
-    a 2-device cluster.  This factory keeps old call sites working for
-    one release and warns.
-    """
-    warnings.warn(
-        "HeterogeneousMachine is deprecated; build a 2-device "
-        "repro.platform.ClusterSpec (or call paper_testbed())",
-        ReproDeprecationWarning,
-        stacklevel=2,
-    )
-    return require_two_devices(
-        ClusterSpec(
-            devices=(cpu, gpu),
-            interconnect=Interconnect(links=(link,)),
-            name="machine",
-        )
-    )

@@ -19,6 +19,7 @@ is the byte representation all equality contracts compare.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -128,6 +129,13 @@ class TuneRequest:
             ):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        # The same holds for scale: an int or a NumPy float would
+        # fingerprint differently from the float it equals.
+        if isinstance(self.scale, (bool, np.bool_)) or not isinstance(
+            self.scale, numbers.Real
+        ):
+            raise ValidationError(f"scale must be a real number, got {self.scale!r}")
+        object.__setattr__(self, "scale", float(self.scale))
         if self.problem not in PROBLEM_KINDS:
             raise ValidationError(
                 f"unknown problem kind {self.problem!r}; expected one of "

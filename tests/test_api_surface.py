@@ -172,21 +172,18 @@ class TestApiSurface:
         with pytest.raises(TypeError):
             Interconnect(())
 
-    def test_deprecated_machine_factory_shim(self):
+    def test_expired_shims_are_gone(self):
         import importlib
 
         import pytest
 
+        import repro
         import repro.platform as platform_pkg
-        from repro import ClusterSpec, HeterogeneousMachine, paper_testbed
 
-        m = paper_testbed()
-        with pytest.warns(DeprecationWarning, match="ClusterSpec"):
-            built = HeterogeneousMachine(
-                cpu=m.cpu, gpu=m.devices[1], link=m.link_for(1)
-            )
-        assert isinstance(built, ClusterSpec)
-        assert built.cache_fields() == m.cache_fields()
+        # The HeterogeneousMachine factory served its deprecation cycle.
+        for pkg in (repro, platform_pkg):
+            assert "HeterogeneousMachine" not in pkg.__all__
+            assert not hasattr(pkg, "HeterogeneousMachine")
         # The expired timeline-view aliases are gone, not just deprecated.
         with pytest.raises(AttributeError):
             platform_pkg.utilization

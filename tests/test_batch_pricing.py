@@ -1,13 +1,16 @@
-"""Scalar <-> batch pricing equivalence (docs/PERFORMANCE.md's contract).
+"""Batched grid pricing and the search paths built on it
+(docs/PERFORMANCE.md).
 
-``evaluate_many`` is a pure performance optimization: for every problem
-that opts in, pricing a grid through the batched tables must agree with
-the scalar ``evaluate_ms`` loop point for point (to 1e-9 relative — the
-full-instance paths are bit-exact; the Hansen-Hurwitz sampled paths may
-reorder one weighted sum) and must select the identical winning
-threshold.  The searches and the oracle switch paths on
-``has_batch_pricing``, so these tests are what lets the fast path replace
-the scalar sweep everywhere without changing a single result.
+Every hetero problem prices through one vectorized pricer, so a grid
+priced in one ``evaluate_many`` call must agree point for point with the
+scalar pricers it replaced (kept in ``tests/test_pricing_reference.py``):
+bit-exact, except sampled scale-free instances, whose Hansen-Hurwitz
+bucketing sums represented work in another order (1e-12 relative).  The
+winning threshold must be identical.  The searches and the oracle switch
+between a grid call and a loop of ``evaluate_ms`` probes on
+``has_batch_pricing``; the ``_ScalarOnlyView`` tests check that both give
+the same results, and the ``evaluate_grid`` tests its fallback for
+problems that only implement ``evaluate_ms``.
 """
 
 from __future__ import annotations
@@ -33,11 +36,7 @@ from repro.workloads.band import banded_matrix
 from repro.workloads.scalefree import scalefree_matrix
 from tests.conftest import random_graph, random_sparse
 from tests.test_hetero_multiway import local_graph
-
-#: Full-instance paths replicate the scalar arithmetic operation for
-#: operation (bit-exact); the sampled scale-free path may reorder one
-#: representation-weighted sum, so the contract is 1e-9 relative.
-REL_TOL = 1e-9
+from tests.test_pricing_reference import HH_SAMPLED_RTOL, reference
 
 
 class _ScalarOnlyView:
@@ -61,12 +60,17 @@ def scalar_sweep(problem, grid: np.ndarray) -> np.ndarray:
     return np.array([problem.evaluate_ms(float(t)) for t in grid])
 
 
+def reference_sweep(problem, grid) -> np.ndarray:
+    """Makespans from the replaced scalar pricers, one threshold at a time."""
+    return np.array([reference(problem, t).total_ms for t in grid])
+
+
 def first_strict_min(values: np.ndarray) -> int:
     """Index the searches' tie-break selects: the first strict minimum."""
     return int(np.argmin(values))
 
 
-def assert_grid_equivalent(problem, grid=None) -> None:
+def assert_grid_equivalent(problem, grid=None, rtol: float = 0.0) -> None:
     grid = (
         np.asarray(problem.threshold_grid(), dtype=np.float64)
         if grid is None
@@ -74,10 +78,10 @@ def assert_grid_equivalent(problem, grid=None) -> None:
     )
     assert has_batch_pricing(problem)
     batch = np.asarray(problem.evaluate_many(grid), dtype=np.float64)
-    scalar = scalar_sweep(problem, grid)
+    want = reference_sweep(problem, [float(t) for t in grid])
     assert batch.shape == grid.shape
-    np.testing.assert_allclose(batch, scalar, rtol=REL_TOL, atol=0.0)
-    assert first_strict_min(batch) == first_strict_min(scalar)
+    np.testing.assert_allclose(batch, want, rtol=rtol, atol=0.0)
+    assert first_strict_min(batch) == first_strict_min(want)
 
 
 class TestThresholdProblems:
@@ -107,14 +111,14 @@ class TestThresholdProblems:
     @pytest.mark.parametrize("method", ["rows", "importance", "fold"])
     def test_hh_sampled_representation_weights(self, machine, method):
         # Sampled instances carry non-uniform representation weights
-        # (Hansen-Hurwitz), the one path where the batched sum may reorder.
+        # (Hansen-Hurwitz), the one path where the batched sum reorders.
         problem = HhCpuProblem(
             scalefree_matrix(600, 11.0, alpha=2.3, rng=4),
             machine,
             sampling_method=method,
         )
         sub = problem.sample(150, rng=np.random.default_rng(42))
-        assert_grid_equivalent(sub)
+        assert_grid_equivalent(sub, rtol=HH_SAMPLED_RTOL)
 
     def test_dense_mm(self, machine):
         assert_grid_equivalent(DenseMmProblem(256, machine))
@@ -132,8 +136,8 @@ class TestThresholdProblems:
         ts = grid[:20].reshape(4, 5)
         batch = np.asarray(problem.evaluate_many(ts))
         assert batch.shape == (4, 5)
-        np.testing.assert_allclose(
-            batch.ravel(), scalar_sweep(problem, ts.ravel()), rtol=REL_TOL, atol=0.0
+        np.testing.assert_array_equal(
+            batch.ravel(), reference_sweep(problem, [float(t) for t in ts.ravel()])
         )
 
 
@@ -153,8 +157,7 @@ class TestMultiwayProblems:
         problem = MultiwayCcProblem(local_graph(1500, 1), cluster)
         vectors = self.random_vectors(n_gpus, 40, seed=n_gpus)
         batch = np.asarray(problem.evaluate_many(vectors))
-        scalar = np.array([problem.evaluate_ms(v) for v in vectors])
-        np.testing.assert_allclose(batch, scalar, rtol=REL_TOL, atol=0.0)
+        np.testing.assert_array_equal(batch, reference_sweep(problem, vectors.tolist()))
 
     @pytest.mark.parametrize("n_gpus", [1, 2, 3])
     def test_multiway_cc_sampled(self, machine, n_gpus):
@@ -163,8 +166,7 @@ class TestMultiwayProblems:
         sub = problem.sample(400, rng=np.random.default_rng(7))
         vectors = self.random_vectors(n_gpus, 30, seed=10 + n_gpus)
         batch = np.asarray(sub.evaluate_many(vectors))
-        scalar = np.array([sub.evaluate_ms(v) for v in vectors])
-        np.testing.assert_allclose(batch, scalar, rtol=REL_TOL, atol=0.0)
+        np.testing.assert_array_equal(batch, reference_sweep(sub, vectors.tolist()))
 
     @pytest.mark.parametrize("n_gpus", [1, 2, 3])
     def test_multiway_spmm(self, machine, n_gpus):
@@ -174,8 +176,7 @@ class TestMultiwayProblems:
         )
         vectors = self.random_vectors(n_gpus, 40, seed=20 + n_gpus)
         batch = np.asarray(problem.evaluate_many(vectors))
-        scalar = np.array([problem.evaluate_ms(v) for v in vectors])
-        np.testing.assert_allclose(batch, scalar, rtol=REL_TOL, atol=0.0)
+        np.testing.assert_array_equal(batch, reference_sweep(problem, vectors.tolist()))
 
     def test_coordinate_descent_matches_scalar_only(self, machine):
         cluster = ClusterSpec.from_machine(machine, n_gpus=2)

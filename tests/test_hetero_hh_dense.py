@@ -7,7 +7,8 @@ from repro.core.framework import SamplingPartitioner
 from repro.core.oracle import exhaustive_oracle
 from repro.core.search import CoarseToFineSearch, GradientDescentSearch
 from repro.hetero.dense_mm import DenseMmProblem
-from repro.hetero.hh_cpu import HhCpuProblem
+from repro.hetero.hh_cpu import COMBINE_FACTOR, PROFILE_COMBINE, HhCpuProblem
+from repro.platform.costmodel import effective_rate_per_ms
 from repro.sparse.spgemm import spgemm
 from repro.util.errors import ValidationError
 from repro.workloads.scalefree import scalefree_matrix
@@ -65,21 +66,36 @@ class TestHhPricing:
         )
 
     def test_work_split_conserved(self, sf_problem):
-        # cpu2+cpu3+gpu2+gpu3 must always equal the total flops.
-        total = 2.0 * sf_problem._total_mults
+        # The partials Phase IV combines on the CPU and on the GPU add up to
+        # the whole product's multiply volume, split as cpu_share_at says.
+        cpu = sf_problem.machine.cpu
+        gpu = sf_problem.machine.devices[1]
+        total = sf_problem._total_mults
         for t in (0.0, 4.0, 20.0, 100.0):
-            s = sf_problem._split(t)
-            parts = sum(float(s[k].sum()) for k in ("cpu2", "cpu3", "gpu2", "gpu3"))
-            assert parts == pytest.approx(total)
+            spans = {s.label: s.duration_ms for s in sf_problem.timeline(t).spans}
+            cpu_mults = (
+                spans["phase4/combine-cpu"]
+                * effective_rate_per_ms(cpu, PROFILE_COMBINE)
+                / COMBINE_FACTOR
+            )
+            gpu_mults = (
+                (spans["phase4/combine-gpu"] - gpu.kernel_launch_us * 1e-3)
+                * effective_rate_per_ms(gpu, PROFILE_COMBINE)
+                / COMBINE_FACTOR
+            )
+            assert cpu_mults + gpu_mults == pytest.approx(total)
+            assert cpu_mults / total == pytest.approx(sf_problem.cpu_share_at(t))
 
     def test_monster_row_bounds_cpu(self, machine):
         # A single massive row on the CPU cannot be split across threads.
         a = scalefree_matrix(500, 10.0, alpha=1.8, rng=5)
         problem = HhCpuProblem(a, machine)
-        work = np.array([2.0 * problem._row_mults.max()])
-        t_one = problem._cpu_chunked(work, np.ones(1))
-        t_spread = problem._cpu_chunked(np.full(40, work[0] / 40), np.ones(40))
-        assert t_one > t_spread
+        top = problem._d_rows.max()
+        spans = {s.label: s.duration_ms for s in problem.timeline(top - 1.0).spans}
+        cpu_ms = spans["phase2/AH-x-BH"] + spans["phase3/AH-x-BL"]
+        heaviest = 2.0 * problem._row_mults[problem._d_rows == top].max()
+        one_thread = effective_rate_per_ms(machine.cpu, problem.profile) / machine.cpu.threads
+        assert cpu_ms >= heaviest / one_thread
 
     def test_evaluate_matches_timeline(self, sf_problem):
         for t in (0.0, 10.0, sf_problem.gpu_only_threshold()):

@@ -118,9 +118,8 @@ class TestSamplingAndRace:
         # The probe's threshold must equalize the two devices' times.
         sub = problem.sample(150, rng=2)
         t, _ = sub.race_probe()
-        cpu = sub._cpu_ms(sub.split_row(t))
-        gpu = sub._gpu_ms(sub.split_row(t))
-        assert cpu == pytest.approx(gpu, rel=0.3)
+        tl = sub.timeline(t)
+        assert tl.busy_ms("cpu") == pytest.approx(tl.busy_ms("gpu"), rel=0.3)
 
     def test_probe_cost_unscaled(self, problem):
         sub = problem.sample(150, rng=3)

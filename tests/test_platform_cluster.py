@@ -2,9 +2,8 @@
 
 Covers the ClusterSpec contract (validation, records, widening a
 2-device testbed), the p = 2 bit-identity guarantee between the paper
-testbed and its widened copies for every case-study problem, the
-deprecated ``HeterogeneousMachine`` factory, cache-key separation by
-cluster shape, and the sample -> identify -> extrapolate pipeline on
+testbed and its widened copies for every case-study problem, cache-key
+separation by cluster shape, and the sample -> identify -> extrapolate pipeline on
 p in {2, 3, 4, 8} clusters.
 """
 
@@ -38,7 +37,7 @@ from repro.platform.cluster import (
     require_two_devices,
 )
 from repro.platform.device import gpu_tesla_k20c, gpu_tesla_k40c
-from repro.platform.machine import HeterogeneousMachine, paper_testbed
+from repro.platform.machine import paper_testbed
 from repro.platform.pcie import pcie_gen2_x16, pcie_gen3_x16
 from repro.util.errors import ValidationError
 from tests.conftest import random_graph, random_sparse
@@ -247,17 +246,6 @@ class TestP2BitIdentity:
 
 
 class TestDeprecationShim:
-    def test_machine_factory_warns(self, machine):
-        with pytest.warns(DeprecationWarning, match="ClusterSpec"):
-            built = HeterogeneousMachine(
-                cpu=machine.cpu, gpu=machine.devices[1], link=machine.link_for(1)
-            )
-        assert built.cache_fields() == machine.cache_fields()
-        graph = random_graph(100, 150, seed=12)
-        assert CcProblem(graph, built).evaluate_ms(60.0) == CcProblem(
-            graph, machine
-        ).evaluate_ms(60.0)
-
     def test_cluster_path_does_not_warn(self, machine, pair):
         graph = random_graph(100, 150, seed=12)
         with warnings.catch_warnings():

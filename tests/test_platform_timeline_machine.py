@@ -6,7 +6,8 @@ import pytest
 from repro.platform import costmodel
 from repro.platform.costmodel import PROFILE_SPGEMM
 from repro.platform.device import cpu_xeon_e5_2650_dual, gpu_tesla_k40c
-from repro.platform.machine import HeterogeneousMachine, paper_testbed
+from repro.platform.cluster import ClusterSpec, Interconnect, require_two_devices
+from repro.platform.machine import paper_testbed
 from repro.platform.pcie import PcieLink, pcie_gen3_x16
 from repro.platform.timeline import Span, Timeline, merge_parallel
 from repro.util.errors import ValidationError
@@ -105,12 +106,14 @@ class TestMachine:
 
     def test_slots_validated(self):
         cpu, gpu = cpu_xeon_e5_2650_dual(), gpu_tesla_k40c()
-        with pytest.warns(DeprecationWarning, match="ClusterSpec"):
-            m = HeterogeneousMachine(cpu=cpu, gpu=gpu, link=pcie_gen3_x16())
+        link = Interconnect(links=(pcie_gen3_x16(),))
+        m = require_two_devices(ClusterSpec(devices=(cpu, gpu), interconnect=link))
         assert m.devices == (cpu, gpu) and m.link_for(1) == pcie_gen3_x16()
         for bad_cpu, bad_gpu in ((gpu, gpu), (cpu, cpu)):
-            with pytest.raises(ValidationError), pytest.warns(DeprecationWarning):
-                HeterogeneousMachine(cpu=bad_cpu, gpu=bad_gpu, link=pcie_gen3_x16())
+            with pytest.raises(ValidationError):
+                require_two_devices(
+                    ClusterSpec(devices=(bad_cpu, bad_gpu), interconnect=link)
+                )
 
     def test_time_scale_shrinks_fixed_constants_only(self):
         full = paper_testbed()

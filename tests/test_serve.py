@@ -112,6 +112,19 @@ class TestApiTypes:
         assert type(numpy.seed) is int and type(numpy.repeats) is int
         assert numpy.fingerprint() == plain.fingerprint()
 
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "0.5", None, 0.5j])
+    def test_request_refuses_non_real_scale(self, value):
+        with pytest.raises(ValidationError, match="scale"):
+            TuneRequest(problem="cc", dataset="cant", scale=value)
+
+    @pytest.mark.parametrize("value", [1, np.float32(0.5), np.float64(0.25), np.int64(1)])
+    def test_real_scales_fingerprint_like_floats(self, value):
+        plain = TuneRequest(problem="cc", dataset="cant", scale=float(value))
+        other = TuneRequest(problem="cc", dataset="cant", scale=value)
+        assert type(other.scale) is float
+        assert other == plain
+        assert other.fingerprint() == plain.fingerprint()
+
     def test_request_round_trip_and_fingerprint(self):
         request = TuneRequest(problem="hh", dataset="webbase-1M", seed=5)
         clone = TuneRequest.from_record(request.to_record())

@@ -3,9 +3,10 @@
 # repo-invariant lint (src/repro, which includes the src/repro/engine
 # package), the whole-program project analysis (determinism /
 # parallel-safety / unit rules over the project graph), the API surface
-# snapshot (docs/API.md vs the live surface), the engine test suite,
-# every example under -W error::DeprecationWarning, then the full tier-1
-# test suite.
+# snapshot (docs/API.md vs the live surface), the engine, chaos, cluster
+# and dynamic re-balancing suites with their experiments, every example
+# under -W error::DeprecationWarning, the full tier-1 test suite, then the
+# repository benchmark's self-test (perfbench/selftest.py).
 # Run from the repository root:
 #
 #     tools/check.sh            # lint + analysis + API snapshot + tests
@@ -48,6 +49,11 @@ python -m pytest -x -q tests/test_platform_cluster.py
 python -m repro.experiments ext-cluster --scale 0.02 --no-cache
 
 echo
+echo "== dynamic re-balancing experiments (docs/PERFORMANCE.md §6) =="
+python -m pytest -x -q tests/test_hetero_dynamic_rebalance.py
+python -m repro.experiments ext-dynamic --scale 0.0625 --no-cache
+
+echo
 echo "== examples (-W error::DeprecationWarning) =="
 for example in examples/*.py; do
     echo "$example"
@@ -57,3 +63,7 @@ done
 echo
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo
+echo "== perfbench self-test =="
+python3 perfbench/selftest.py
